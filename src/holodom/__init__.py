@@ -6,6 +6,9 @@ flow the vertical fields e^u (q1 w - q) d/dw in closed form and compare
 against an independent Runge-Kutta oracle.  Around that core sit the Riccati
 fields on C x P1, the cuspidal covering maps, and a catalogue of normal-form
 families with their tangency and eigenvalue-ratio diagnostics.
+
+The top level re-exports the README's entry points and the error classes;
+everything else is imported from its submodule.
 """
 
 from .errors import (
@@ -17,157 +20,38 @@ from .errors import (
     NumericalError,
     TypeCFiberError,
 )
-from .poly import Poly, PrincipalPart, RationalFn, poly_gcd, poly_roots, principal_parts
-from .entire import (
-    Const,
-    EntireExpr,
-    Exp,
-    ExpPoly,
-    Neg,
-    PolyNode,
-    Prod,
-    RemovableQuotient,
-    Sum,
-    Var,
-    expr_from_json,
-    phi1,
-)
-from .gap import GapCertificate, GapReport, construct_gap, hermite_interpolate, psi, verify_gap
-from .vertical import DominatingMapF, FiberType, PreimageResult, VerticalFieldZu
-from .riccati import (
-    AvoidanceReport,
-    DoubleSection,
-    FiberRoots,
-    INF,
-    RiccatiField,
-    Section,
-    SpherePoint,
-    default_section,
-    dominating_map_g,
-    riccati_from_gap_pair,
-    verify_section_avoids,
-)
-from .covering import CuspCurve, bezout
-from .catalog import (
-    AffineFiberFamily,
-    BivarExpr,
-    CuspidalCurve,
-    DriftReport,
-    EigenratioResult,
-    FamilyI,
-    FamilyII,
-    FamilyIII,
-    FamilyIV,
-    FiberAutomorphism,
-    GraphCurve,
-    MonomialFlowFamily,
-    PlaneField,
-    RatioClass,
-    ScalingField,
-    SuzukiForm1,
-    SuzukiForm2,
-    SuzukiForm3,
-    SuzukiForm4,
-    TangencyReport,
-    alpha_conjugate,
-    closed_flow_family,
-    eigenratio,
-    first_integral_check,
-    instantiate_family,
-    lbl_automorphism,
-    linear_pushforward,
-    pole_graph_curve,
-    pushforward,
-    tangency_check,
-)
-from .oracle import IntegrationResult, IntegrationSpec, integrate, monodromy_check
-from .sampling import rng_from_seed, sample_annulus, sample_disk
+from .poly import Poly, RationalFn
+from .gap import construct_gap, verify_gap
+from .vertical import DominatingMapF, VerticalFieldZu
+from .riccati import DoubleSection, dominating_map_g, verify_section_avoids
+from .covering import CuspCurve
+from .catalog import alpha_conjugate, closed_flow_family, eigenratio, tangency_check
+from .oracle import IntegrationSpec, integrate, monodromy_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFiberFamily",
-    "AvoidanceReport",
-    "BivarExpr",
-    "Const",
     "CuspCurve",
-    "CuspidalCurve",
     "DegenerateFiberError",
     "DomainError",
     "DominatingMapF",
     "DoubleSection",
-    "DriftReport",
-    "EigenratioResult",
-    "EntireExpr",
     "EscapeError",
-    "Exp",
-    "ExpPoly",
-    "FamilyI",
-    "FamilyII",
-    "FamilyIII",
-    "FamilyIV",
-    "FiberAutomorphism",
-    "FiberRoots",
-    "FiberType",
-    "GapCertificate",
-    "GapReport",
-    "GraphCurve",
     "HolodomError",
-    "INF",
-    "IntegrationResult",
     "IntegrationSpec",
-    "MonomialFlowFamily",
-    "Neg",
     "NotHolomorphicError",
     "NumericalError",
-    "PlaneField",
     "Poly",
-    "PolyNode",
-    "PreimageResult",
-    "PrincipalPart",
-    "Prod",
-    "RatioClass",
     "RationalFn",
-    "RemovableQuotient",
-    "RiccatiField",
-    "ScalingField",
-    "Section",
-    "SpherePoint",
-    "Sum",
-    "SuzukiForm1",
-    "SuzukiForm2",
-    "SuzukiForm3",
-    "SuzukiForm4",
-    "TangencyReport",
     "TypeCFiberError",
-    "Var",
     "VerticalFieldZu",
     "alpha_conjugate",
-    "bezout",
     "closed_flow_family",
     "construct_gap",
-    "default_section",
     "dominating_map_g",
     "eigenratio",
-    "expr_from_json",
-    "first_integral_check",
-    "hermite_interpolate",
-    "instantiate_family",
     "integrate",
-    "lbl_automorphism",
-    "linear_pushforward",
     "monodromy_check",
-    "phi1",
-    "pole_graph_curve",
-    "poly_gcd",
-    "poly_roots",
-    "principal_parts",
-    "psi",
-    "pushforward",
-    "riccati_from_gap_pair",
-    "rng_from_seed",
-    "sample_annulus",
-    "sample_disk",
     "tangency_check",
     "verify_gap",
     "verify_section_avoids",

@@ -29,113 +29,6 @@ TANGENCY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# folding constructors keep pushforward trees small
-
-def _is_zero_expr(e):
-    if isinstance(e, Const):
-        return e.value == 0
-    if isinstance(e, PolyNode):
-        return e.poly.is_zero
-    return False
-
-
-def _as_poly(e):
-    """Poly content of a coefficient expression, or None if transcendental."""
-    if isinstance(e, Const):
-        return Poly([e.value])
-    if isinstance(e, PolyNode):
-        return e.poly
-    if isinstance(e, Neg):
-        inner = _as_poly(e.arg)
-        return None if inner is None else -inner
-    if isinstance(e, Sum):
-        acc = Poly()
-        for a in e.args:
-            inner = _as_poly(a)
-            if inner is None:
-                return None
-            acc = acc + inner
-        return acc
-    if isinstance(e, Prod):
-        acc = Poly.one()
-        for a in e.args:
-            inner = _as_poly(a)
-            if inner is None:
-                return None
-            acc = acc * inner
-        return acc
-    return None
-
-
-def _poly_expr(p: Poly) -> EntireExpr:
-    if p.degree <= 0:
-        return Const(p.coeffs[0] if p.coeffs else 0.0)
-    return PolyNode(p)
-
-
-def eadd(*terms) -> EntireExpr:
-    flat = []
-    for t in terms:
-        if isinstance(t, Sum):
-            flat.extend(t.args)
-        else:
-            flat.append(t)
-    poly_acc = Poly()
-    rest = []
-    for t in flat:
-        p = _as_poly(t)
-        if p is None:
-            rest.append(t)
-        else:
-            poly_acc = poly_acc + p
-    if not poly_acc.is_zero or not rest:
-        rest.insert(0, _poly_expr(poly_acc))
-    return rest[0] if len(rest) == 1 else Sum(rest)
-
-
-def emul(*factors) -> EntireExpr:
-    flat = []
-    sign = 1.0
-    for f in factors:
-        while isinstance(f, Neg):
-            sign = -sign
-            f = f.arg
-        if isinstance(f, Prod):
-            flat.extend(f.args)
-        else:
-            flat.append(f)
-    poly_acc = Poly([sign])
-    rest = []
-    for f in flat:
-        p = _as_poly(f)
-        if p is None:
-            rest.append(f)
-        else:
-            poly_acc = poly_acc * p
-    if poly_acc.is_zero:
-        return Const(0)
-    if poly_acc != Poly.one() or not rest:
-        rest.insert(0, _poly_expr(poly_acc))
-    return rest[0] if len(rest) == 1 else Prod(rest)
-
-
-def eneg(e) -> EntireExpr:
-    if isinstance(e, Neg):
-        return e.arg
-    if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, PolyNode):
-        return PolyNode(-e.poly)
-    return Neg(e)
-
-
-def eexp(e) -> EntireExpr:
-    if isinstance(e, Const):
-        return Const(cmath.exp(e.value))
-    return Exp(e)
-
-
-# ---------------------------------------------------------------------------
 # bivariate expressions and plane fields
 
 class BivarExpr:
@@ -145,7 +38,7 @@ class BivarExpr:
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, EntireExpr) else Const(c) for c in coeffs]
-        while cs and _is_zero_expr(cs[-1]):
+        while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -168,11 +61,11 @@ class BivarExpr:
                 parts.append(self.coeffs[k])
             if k < len(other.coeffs):
                 parts.append(other.coeffs[k])
-            out.append(eadd(*parts))
+            out.append(Sum.of(*parts))
         return BivarExpr(out)
 
     def __neg__(self):
-        return BivarExpr([eneg(c) for c in self.coeffs])
+        return BivarExpr([Neg.of(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -183,17 +76,17 @@ class BivarExpr:
         out = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j].append(emul(a, b))
-        return BivarExpr([eadd(*terms) if terms else Const(0) for terms in out])
+                out[i + j].append(Prod.of(a, b))
+        return BivarExpr([Sum.of(*terms) for terms in out])
 
     def mul_expr(self, e: EntireExpr) -> "BivarExpr":
-        return BivarExpr([emul(e, c) for c in self.coeffs])
+        return BivarExpr([Prod.of(e, c) for c in self.coeffs])
 
     def dz(self) -> "BivarExpr":
         return BivarExpr([c.derive() for c in self.coeffs])
 
     def dw(self) -> "BivarExpr":
-        return BivarExpr([emul(Const(k), c)
+        return BivarExpr([Prod.of(Const(k), c)
                           for k, c in enumerate(self.coeffs)][1:])
 
     def subst_w_affine(self, alpha: EntireExpr, beta: EntireExpr) -> "BivarExpr":
@@ -235,7 +128,7 @@ class PlaneField:
         for comp in (self.p, self.q):
             table = {}
             for j, e in enumerate(comp.coeffs):
-                poly = _as_poly(e)
+                poly = e.as_poly()
                 if poly is None:
                     raise DomainError("field coefficient is not polynomial")
                 for i, c in enumerate(poly.coeffs):
@@ -276,27 +169,20 @@ class FiberAutomorphism:
         self.gamma = gamma
         self.delta = delta
 
-    @classmethod
-    def identity(cls):
-        return cls(Const(0), Const(0))
-
-    @classmethod
-    def shear(cls, delta: EntireExpr):
-        return cls(Const(0), delta)
-
     def __call__(self, z, w):
         z = complex(z)
         return (z, cmath.exp(self.gamma(z)) * w + self.delta(z))
 
     def inverse(self) -> "FiberAutomorphism":
-        gamma = eneg(self.gamma)
-        return FiberAutomorphism(gamma, eneg(emul(eexp(gamma), self.delta)))
+        gamma = Neg.of(self.gamma)
+        return FiberAutomorphism(
+            gamma, Neg.of(Prod.of(Exp.of(gamma), self.delta)))
 
     def compose(self, other: "FiberAutomorphism") -> "FiberAutomorphism":
         """self after other."""
         return FiberAutomorphism(
-            eadd(self.gamma, other.gamma),
-            eadd(emul(eexp(self.gamma), other.delta), self.delta))
+            Sum.of(self.gamma, other.gamma),
+            Sum.of(Prod.of(Exp.of(self.gamma), other.delta), self.delta))
 
     def to_json(self):
         return {"gamma": self.gamma.to_json(), "delta": self.delta.to_json()}
@@ -309,14 +195,15 @@ def pushforward(phi: FiberAutomorphism, field: PlaneField) -> PlaneField:
     the w-component picks up the derivative of the fiber action:
     Q' = [gamma'(w' - delta) + delta']·P(..) + e^{gamma}·Q(..).
     """
-    alpha = eexp(eneg(phi.gamma))
-    beta = eneg(emul(alpha, phi.delta))
+    alpha = Exp.of(Neg.of(phi.gamma))
+    beta = Neg.of(Prod.of(alpha, phi.delta))
     p_new = field.p.subst_w_affine(alpha, beta)
     q_sub = field.q.subst_w_affine(alpha, beta)
     dgamma = phi.gamma.derive()
     ddelta = phi.delta.derive()
-    lin = BivarExpr([eadd(ddelta, eneg(emul(dgamma, phi.delta))), dgamma])
-    return PlaneField(p_new, lin.mul(p_new) + q_sub.mul_expr(eexp(phi.gamma)))
+    lin = BivarExpr([Sum.of(ddelta, Neg.of(Prod.of(dgamma, phi.delta))),
+                     dgamma])
+    return PlaneField(p_new, lin.mul(p_new) + q_sub.mul_expr(Exp.of(phi.gamma)))
 
 
 def linear_pushforward(matrix, field: PlaneField) -> PlaneField:
@@ -410,8 +297,8 @@ def _table_to_bivar(table) -> BivarExpr:
         if not entries:
             cols.append(Const(0))
             continue
-        cols.append(_poly_expr(Poly([entries.get(i, 0j)
-                                     for i in range(max(entries) + 1)])))
+        cols.append(PolyNode.of(Poly([entries.get(i, 0j)
+                                      for i in range(max(entries) + 1)])))
     return BivarExpr(cols)
 
 
@@ -694,17 +581,21 @@ def _restricted_positive_rational(value) -> Fraction:
     return frac
 
 
-def _family_ii_tables(spec: FamilyII):
-    p_table = {}
-    q_table = {(0, 1): complex(spec.a)}
-    for j, c in enumerate(spec.multiplier.coeffs):
+def _monomial_tables(p_table, q_table, m, n, f: Poly):
+    """Add f(x^m y^n)·(n·x d/dx - m·y d/dy) to the tables in place."""
+    for j, c in enumerate(f.coeffs):
         if c == 0:
             continue
-        key_p = (j * spec.m + 1, j * spec.n)
-        key_q = (j * spec.m, j * spec.n + 1)
-        p_table[key_p] = p_table.get(key_p, 0j) + spec.n * c
-        q_table[key_q] = q_table.get(key_q, 0j) - spec.m * c
+        key_p = (j * m + 1, j * n)
+        key_q = (j * m, j * n + 1)
+        p_table[key_p] = p_table.get(key_p, 0j) + n * c
+        q_table[key_q] = q_table.get(key_q, 0j) - m * c
     return p_table, q_table
+
+
+def _family_ii_tables(spec: FamilyII):
+    return _monomial_tables({}, {(0, 1): complex(spec.a)},
+                            spec.m, spec.n, spec.multiplier)
 
 
 def instantiate_family(spec) -> PlaneField:
@@ -713,8 +604,8 @@ def instantiate_family(spec) -> PlaneField:
     spec.validate()
     if isinstance(spec, FamilyI):
         return PlaneField(
-            BivarExpr([_poly_expr(Poly([spec.b, spec.a]))]),
-            BivarExpr([Const(0), _poly_expr(spec.multiplier)]))
+            BivarExpr([PolyNode.of(Poly([spec.b, spec.a]))]),
+            BivarExpr([Const(0), PolyNode.of(spec.multiplier)]))
     if isinstance(spec, FamilyII):
         p_table, q_table = _family_ii_tables(spec)
         return PlaneField(_table_to_bivar(p_table), _table_to_bivar(q_table))
@@ -723,7 +614,7 @@ def instantiate_family(spec) -> PlaneField:
         lowered = Poly(spec.tail.coeffs[spec.k:])
         return PlaneField(
             BivarExpr([PolyNode(Poly([0.0, spec.a]))]),
-            BivarExpr([_poly_expr(-lowered), _poly_expr(full)]))
+            BivarExpr([PolyNode.of(-lowered), PolyNode.of(full)]))
     if isinstance(spec, FamilyIV):
         return alpha_conjugate(spec.base_family(), spec.k)
     if isinstance(spec, SuzukiForm1):
@@ -731,7 +622,7 @@ def instantiate_family(spec) -> PlaneField:
     if isinstance(spec, SuzukiForm2):
         return PlaneField(
             BivarExpr(),
-            BivarExpr([eneg(_rational_as_expr(spec.gs)),
+            BivarExpr([Neg.of(_rational_as_expr(spec.gs)),
                        _rational_as_expr(spec.g)]))
     if isinstance(spec, SuzukiForm3):
         return PlaneField(
@@ -742,17 +633,11 @@ def instantiate_family(spec) -> PlaneField:
     if isinstance(spec, AffineFiberFamily):
         return PlaneField(
             BivarExpr([PolyNode(Poly([0.0, spec.lam]))]),
-            BivarExpr([_poly_expr(spec.c), _poly_expr(spec.a)]))
+            BivarExpr([PolyNode.of(spec.c), PolyNode.of(spec.a)]))
     if isinstance(spec, MonomialFlowFamily):
-        p_table = {(1, 0): complex(spec.alpha)}
-        q_table = {(0, 1): -complex(spec.beta)}
-        for j, c in enumerate(spec.f.coeffs):
-            if c == 0:
-                continue
-            key_p = (j * spec.m + 1, j * spec.n)
-            key_q = (j * spec.m, j * spec.n + 1)
-            p_table[key_p] = p_table.get(key_p, 0j) + spec.n * c
-            q_table[key_q] = q_table.get(key_q, 0j) - spec.m * c
+        p_table, q_table = _monomial_tables(
+            {(1, 0): complex(spec.alpha)}, {(0, 1): -complex(spec.beta)},
+            spec.m, spec.n, spec.f)
         return PlaneField(_table_to_bivar(p_table), _table_to_bivar(q_table))
     if isinstance(spec, ScalingField):
         return PlaneField(
@@ -765,7 +650,7 @@ def _rational_as_expr(f: RationalFn) -> EntireExpr:
     if f.den.degree > 0:
         raise DomainError("rational coefficient has poles; this form is "
                           "catalog data only")
-    return _poly_expr(f.num * (1.0 / f.den.coeffs[0]))
+    return PolyNode.of(f.num * (1.0 / f.den.coeffs[0]))
 
 
 def _instantiate_suzuki4(spec: SuzukiForm4) -> PlaneField:
@@ -976,16 +861,11 @@ def closed_flow_family(spec, t, p):
     """Time-t flow of a family (i), (ii), or (iii) member from p, evaluated
     through exponential-polynomial antiderivatives."""
     t = complex(t)
-    if isinstance(spec, FamilyI):
-        spec.validate()
-        return _flow_family_i(spec, t, p)
-    if isinstance(spec, FamilyII):
-        spec.validate()
-        return _flow_family_ii(spec, t, p)
-    if isinstance(spec, FamilyIII):
-        spec.validate()
-        return _flow_family_iii(spec, t, p)
-    raise DomainError("closed flows cover families (i)-(iii) only")
+    flow = _CLOSED_FLOWS.get(type(spec))
+    if flow is None:
+        raise DomainError("closed flows cover families (i)-(iii) only")
+    spec.validate()
+    return flow(spec, t, p)
 
 
 def _flow_family_i(spec: FamilyI, t, p):
@@ -1036,6 +916,10 @@ def _flow_family_iii(spec: FamilyIII, t, p):
     return (z0 * cmath.exp(a * t), w1)
 
 
+_CLOSED_FLOWS = {FamilyI: _flow_family_i, FamilyII: _flow_family_ii,
+                 FamilyIII: _flow_family_iii}
+
+
 # ---------------------------------------------------------------------------
 # graph relabeling and first integrals
 
@@ -1043,15 +927,15 @@ def lbl_automorphism(cert: GapCertificate, k: int | None = None
                      ) -> FiberAutomorphism:
     """Fiber automorphism w -> e^{-g1}(w - h) sending graph(cert.s) onto the
     graph of 1/(z - z0)^k for the unique pole z0 of s."""
-    poles = cert.s.poles()
+    poles = cert.pole_data
     if len(poles) != 1:
         raise DomainError("graph relabeling needs exactly one pole, found %d"
                           % (len(poles),))
-    order = poles[0][1]
+    order = poles[0].order
     if k is not None and k != order:
         raise DomainError("pole order is %d, not %d" % (order, k))
-    gamma = _poly_expr(-cert.g1)
-    return FiberAutomorphism(gamma, eneg(emul(eexp(gamma), cert.h)))
+    gamma = PolyNode.of(-cert.g1)
+    return FiberAutomorphism(gamma, Neg.of(Prod.of(Exp.of(gamma), cert.h)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ construction that numer vanishes at every root of den to the root's order,
 so the quotient extends to an entire function; evaluation switches to a
 cached local series near denominator roots.
 
+The raw constructors build exactly the tree asked for, which keeps
+certificate JSON stable; the smart constructors Sum.of, Prod.of, Neg.of,
+Exp.of and PolyNode.of fold polynomial content so that symbolic work such
+as pushforwards keeps its trees small.
+
 ExpPoly is the separate quadrature-friendly class sum_j p_j(tau) e^(mu_j tau)
 with exact antiderivatives.
 """
@@ -49,6 +54,13 @@ class EntireExpr:
     def to_json(self):
         raise NotImplementedError
 
+    def as_poly(self):
+        """Poly content of the tree, or None if it is not a polynomial in
+        Const/PolyNode leaves under Sum, Prod and Neg."""
+        return None
+
+    is_zero = False  # structurally zero: Const(0) or a zero PolyNode
+
     def __repr__(self):
         return "%s(...)" % type(self).__name__
 
@@ -70,6 +82,13 @@ class Const(EntireExpr):
 
     def to_json(self):
         return {"op": "const", "value": [self.value.real, self.value.imag]}
+
+    def as_poly(self):
+        return Poly([self.value])
+
+    @property
+    def is_zero(self):
+        return self.value == 0
 
     def __repr__(self):
         return "Const(%r)" % (self.value,)
@@ -99,6 +118,13 @@ class PolyNode(EntireExpr):
     def __init__(self, poly):
         self.poly = poly if isinstance(poly, Poly) else Poly(poly)
 
+    @staticmethod
+    def of(p: Poly) -> EntireExpr:
+        """Const for degree <= 0, else PolyNode."""
+        if p.degree <= 0:
+            return Const(p.coeffs[0] if p.coeffs else 0.0)
+        return PolyNode(p)
+
     def _eval(self, z):
         return self.poly(z)
 
@@ -111,6 +137,13 @@ class PolyNode(EntireExpr):
     def to_json(self):
         return {"op": "poly", "coeffs": self.poly.to_json()}
 
+    def as_poly(self):
+        return self.poly
+
+    @property
+    def is_zero(self):
+        return self.poly.is_zero
+
     def __repr__(self):
         return "PolyNode(%r)" % (self.poly,)
 
@@ -122,6 +155,25 @@ class Sum(EntireExpr):
         self.args = tuple(args)
         if not self.args:
             raise DomainError("empty Sum")
+
+    @staticmethod
+    def of(*terms) -> EntireExpr:
+        """Sum with nested sums flattened and polynomial terms folded into
+        one leading Poly; Const(0) when nothing is left."""
+        flat = []
+        for t in terms:
+            flat.extend(t.args if isinstance(t, Sum) else (t,))
+        poly_acc = Poly()
+        rest = []
+        for t in flat:
+            p = t.as_poly()
+            if p is None:
+                rest.append(t)
+            else:
+                poly_acc = poly_acc + p
+        if not poly_acc.is_zero or not rest:
+            rest.insert(0, PolyNode.of(poly_acc))
+        return rest[0] if len(rest) == 1 else Sum(rest)
 
     def _eval(self, z):
         return sum(a._eval(z) for a in self.args)
@@ -144,6 +196,15 @@ class Sum(EntireExpr):
     def to_json(self):
         return {"op": "sum", "args": [a.to_json() for a in self.args]}
 
+    def as_poly(self):
+        acc = Poly()
+        for a in self.args:
+            inner = a.as_poly()
+            if inner is None:
+                return None
+            acc = acc + inner
+        return acc
+
 
 class Prod(EntireExpr):
     __slots__ = ("args",)
@@ -152,6 +213,32 @@ class Prod(EntireExpr):
         self.args = tuple(args)
         if not self.args:
             raise DomainError("empty Prod")
+
+    @staticmethod
+    def of(*factors) -> EntireExpr:
+        """Product with Neg signs pulled out, nested products flattened and
+        polynomial factors folded into one leading Poly; Const(0) when that
+        Poly vanishes."""
+        flat = []
+        sign = 1.0
+        for f in factors:
+            while isinstance(f, Neg):
+                sign = -sign
+                f = f.arg
+            flat.extend(f.args if isinstance(f, Prod) else (f,))
+        poly_acc = Poly([sign])
+        rest = []
+        for f in flat:
+            p = f.as_poly()
+            if p is None:
+                rest.append(f)
+            else:
+                poly_acc = poly_acc * p
+        if poly_acc.is_zero:
+            return Const(0)
+        if poly_acc != Poly.one() or not rest:
+            rest.insert(0, PolyNode.of(poly_acc))
+        return rest[0] if len(rest) == 1 else Prod(rest)
 
     def _eval(self, z):
         acc = 1.0 + 0j
@@ -182,12 +269,32 @@ class Prod(EntireExpr):
     def to_json(self):
         return {"op": "prod", "args": [a.to_json() for a in self.args]}
 
+    def as_poly(self):
+        acc = Poly.one()
+        for a in self.args:
+            inner = a.as_poly()
+            if inner is None:
+                return None
+            acc = acc * inner
+        return acc
+
 
 class Neg(EntireExpr):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         self.arg = arg
+
+    @staticmethod
+    def of(e: EntireExpr) -> EntireExpr:
+        """-e with double negation cancelled and constants negated in place."""
+        if isinstance(e, Neg):
+            return e.arg
+        if isinstance(e, Const):
+            return Const(-e.value)
+        if isinstance(e, PolyNode):
+            return PolyNode(-e.poly)
+        return Neg(e)
 
     def _eval(self, z):
         return -self.arg._eval(z)
@@ -204,12 +311,23 @@ class Neg(EntireExpr):
     def to_json(self):
         return {"op": "neg", "arg": self.arg.to_json()}
 
+    def as_poly(self):
+        inner = self.arg.as_poly()
+        return None if inner is None else -inner
+
 
 class Exp(EntireExpr):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         self.arg = arg
+
+    @staticmethod
+    def of(e: EntireExpr) -> EntireExpr:
+        """e^e, folded to a Const when e is one."""
+        if isinstance(e, Const):
+            return Const(cmath.exp(e.value))
+        return Exp(e)
 
     def _eval(self, z):
         return cmath.exp(self.arg._eval(z))
@@ -277,9 +395,7 @@ class RemovableQuotient(EntireExpr):
     def _eval_direct(self, z):
         return self.numer._eval(z) / self.den(z)
 
-    def _eval_series(self, z, root=None):
-        if root is None:
-            root = min(self._roots, key=lambda rm: abs(z - rm[0]))[0]
+    def _eval_series(self, z, root):
         acc = 0j
         for c in reversed(self._series[root]):
             acc = acc * (z - root) + c
@@ -333,10 +449,6 @@ def expr_from_json(data) -> EntireExpr:
         return RemovableQuotient(expr_from_json(data["num"]),
                                  Poly.from_json(data["den"]))
     raise DomainError("unknown expression op %r" % (op,))
-
-
-ZERO = Const(0)
-ONE = Const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +538,6 @@ class ExpPoly:
         return "ExpPoly(%r)" % (list(self.terms),)
 
 
-def exppoly_antideriv(f: ExpPoly) -> ExpPoly:
-    return f.antideriv()
-
-
 def compose_poly_with_exps(coeffs, base_const, base_coef, mu):
     """ExpPoly for P(base_const + base_coef * e^(mu tau)), P given ascending."""
     base = ExpPoly([(Poly([base_const]), 0.0), (Poly([base_coef]), mu)])
@@ -440,8 +548,16 @@ def compose_poly_with_exps(coeffs, base_const, base_coef, mu):
 
 
 def phi1(x) -> complex:
-    """(e^x - 1)/x, extended by 1 at 0; series path for small |x|."""
+    """(e^x - 1)/x, extended by 1 at 0; series path for |x| <= 5e-5."""
     x = complex(x)
-    if abs(x) < 1e-4:
-        return 1.0 + x / 2.0 + x * x / 6.0 + x ** 3 / 24.0 + x ** 4 / 120.0
-    return (cmath.exp(x) - 1.0) / x
+    if abs(x) <= 5e-5:
+        acc = 0j
+        term = 1.0 + 0j
+        for k in range(1, 10):
+            acc += term
+            term = term * x / (k + 1)
+        return acc
+    # e^x - 1 as 2 e^(x/2) sinh(x/2): the plain difference cancels for
+    # small |x|, costing up to 1e-12 relative just above the series cutoff
+    half = 0.5 * x
+    return 2.0 * cmath.exp(half) * cmath.sinh(half) / x

@@ -123,23 +123,6 @@ def construct_gap(s: RationalFn) -> GapCertificate:
     return GapCertificate(s, g1, g_expr, h, tuple(data))
 
 
-def psi(t, w) -> complex:
-    """(e^(t w) - 1)/t, entire across t = 0; series for small |t|(1+|w|)."""
-    t = complex(t)
-    w = complex(w)
-    if abs(t) * (1.0 + abs(w)) <= 1e-4:
-        acc = 0j
-        term = complex(w)
-        for k in range(1, 10):
-            acc += term
-            term = term * t * w / (k + 1)
-        return acc
-    # e^(tw) - 1 as 2 e^(tw/2) sinh(tw/2): the plain difference cancels
-    # when |t w| is small even though |t| alone clears the series cutoff
-    half = 0.5 * t * w
-    return 2.0 * cmath.exp(half) * cmath.sinh(half) / t
-
-
 @dataclass(frozen=True)
 class GapReport:
     min_difference: float
@@ -199,12 +182,12 @@ def verify_gap(cert: GapCertificate, n_samples: int = 1000, seed: int = 0,
             z = p + 1e-2 * cmath.exp(2j * cmath.pi * k / 32)
             circle_max = max(circle_max, abs(cert.h(z)))
     residual = 0.0
-    if isinstance(cert.h, RemovableQuotient):
-        for pole, order in poly_roots(cert.s.den):
-            njet = cert.h.numer.jet(pole, order + 4)
-            scale = max(cert.h.numer.magnitude_jet(pole, order + 4)) or 1.0
-            for k in range(order):
-                residual = max(residual, abs(njet[k]) / scale)
+    for datum in cert.pole_data:  # h is a RemovableQuotient when q1 has roots
+        pole, order = datum.pole, datum.order
+        njet = cert.h.numer.jet(pole, order + 4)
+        scale = max(cert.h.numer.magnitude_jet(pole, order + 4)) or 1.0
+        for k in range(order):
+            residual = max(residual, abs(njet[k]) / scale)
     passed = best > 0.0 and residual < EPS_JET
     return GapReport(best, argmin, circle_max, residual, mismatch,
                      n_samples, passed)

@@ -434,76 +434,3 @@ def rat_eval(f: RationalFn, z, eps: float = EPS_POLE):
         return POLE
     return f.num(z) / d
 
-
-class PrincipalPart:
-    """Sum of c_j (z - pole)^(-j), coeffs listed highest order first."""
-
-    __slots__ = ("pole", "order", "coeffs")
-
-    def __init__(self, pole, order, coeffs):
-        if len(coeffs) != order or order < 1:
-            raise DomainError("principal part needs exactly `order` coefficients")
-        if coeffs[0] == 0:
-            raise DomainError("leading principal-part coefficient vanishes")
-        self.pole = complex(pole)
-        self.order = int(order)
-        self.coeffs = tuple(complex(c) for c in coeffs)
-
-    def __call__(self, z):
-        w = z - self.pole
-        acc = 0j
-        for c in self.coeffs:  # Horner in 1/w: c_k/w^k + ... + c_1/w
-            acc = (acc + c) / w
-        return acc
-
-    def __repr__(self):
-        return "PrincipalPart(%r, %d, %r)" % (self.pole, self.order, list(self.coeffs))
-
-
-def laurent_coeffs(f: RationalFn, z0, order, low=None):
-    """Laurent coefficients of f at z0 for exponents low..order.
-
-    z0 must be a denominator root or regular point; low defaults to -m where
-    m is the multiplicity of z0 in the denominator (0 at regular points).
-    Returns a list indexed from `low`.
-    """
-    m = 0
-    for root, mult in f.poles():
-        if abs(z0 - root) <= CLUSTER_TOL * (1.0 + abs(root)):
-            m = mult
-            z0 = root
-            break
-    if low is None:
-        low = -m
-    if low < -m:
-        raise DomainError("requested order below pole order")
-    work = max(order + m, m)  # den_jet[m] is needed even when order < 0
-    num_jet = f.num.jet(z0, work)
-    den_jet = f.den.jet(z0, work)
-    scale = max(abs(c) for c in den_jet) if any(den_jet) else 1.0
-    for k in range(m):
-        if abs(den_jet[k]) > 1e-8 * scale:
-            raise NumericalError("denominator jet does not vanish to pole order")
-    quot = series_div(num_jet, den_jet[m:], work)
-    # quot[k] is the coefficient of (z-z0)^(k-m)
-    return [quot[k + m] for k in range(low, order + 1)]
-
-
-def principal_parts(f: RationalFn):
-    """Principal parts of f at each pole, in lexicographic pole order."""
-    parts = []
-    for pole, mult in f.poles():
-        coeffs = laurent_coeffs(f, pole, -1, low=-mult)
-        # coeffs run exponents -mult .. -1; class wants c_mult ... c_1
-        parts.append(PrincipalPart(pole, mult, coeffs))
-    return parts
-
-
-def taylor_jet(f: RationalFn, z0, n):
-    """Taylor coefficients of f at a regular point z0, through order n."""
-    d = f.den(z0)
-    if abs(d) <= EPS_POLE * max(f.den.norm(), 1e-300):
-        raise DomainError("taylor_jet at a pole of the denominator")
-    num_jet = f.num.jet(z0, n)
-    den_jet = f.den.jet(z0, n)
-    return series_div(num_jet, den_jet, n)

@@ -19,7 +19,6 @@ from .gap import GapCertificate
 from .poly import POLE, Poly, RationalFn
 
 _ZERO_TOL = 1e-12   # coefficient considered zero, relative to the fiber triple
-CHART_SWITCH = 2.0  # |w| above this prefers the 1/w chart in oracle work
 
 
 class SpherePoint:
@@ -78,9 +77,6 @@ INF = SpherePoint.infinity()
 class FiberRoots:
     points: tuple          # one or two SpherePoints
     double: bool           # True when a single root of multiplicity two
-
-    def as_list(self):
-        return list(self.points)
 
 
 class DoubleSection:
@@ -255,13 +251,12 @@ class Section:
 def default_section(section: DoubleSection) -> Section | None:
     """Propose sigma = infinity when the leading coefficient never vanishes.
 
-    Only the constant nonzero a case is decidable structurally; anything
-    else returns None and the caller picks a section.
+    Only a leading coefficient that is structurally a nonzero constant
+    polynomial is decidable; anything else returns None and the caller
+    picks a section.
     """
-    a = section.a
-    if isinstance(a, Const) and a.value != 0:
-        return Section.infinity()
-    if isinstance(a, PolyNode) and a.poly.degree == 0 and not a.poly.is_zero:
+    a = section.a.as_poly()
+    if a is not None and a.degree == 0:
         return Section.infinity()
     return None
 

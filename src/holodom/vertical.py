@@ -6,9 +6,9 @@ closed flow w(t) = s + (w - s) e^(c t) away from the roots of q1.  Near a
 root the closed form divides by a vanishing q1; there the same flow is
 evaluated through the entire reformulation
 
-    w e^(ct) + q (1 - e^(ct))/q1 = w e^(ct) - t e^u q Psi(tc, 1)
+    w e^(ct) + q (1 - e^(ct))/q1 = w e^(ct) - t e^u q phi1(tc)
 
-with Psi(t, w) = (e^(tw) - 1)/t, which cancels the q1 exactly and at the
+with phi1(x) = (e^x - 1)/x, which cancels the q1 exactly and at the
 root itself degenerates to the translation w - e^u q t.
 
 Starting the flow on the gap section h produces a map
@@ -24,11 +24,11 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DomainError, TypeCFiberError
-from .entire import EntireExpr, Const
-from .gap import GapCertificate, psi
-from .poly import EPS_POLE, RationalFn, poly_roots
+from .entire import EntireExpr, Const, phi1
+from .gap import GapCertificate
+from .poly import EPS_POLE, RationalFn
 
-JET_SWITCH = 1e-3   # |q1(z)| below this (times max|q1 coeff|) uses the Psi form
+JET_SWITCH = 1e-3   # |q1(z)| below this (times max|q1 coeff|) uses the phi1 form
 
 
 class FiberType(enum.Enum):
@@ -43,7 +43,6 @@ class VerticalFieldZu:
         self.s = s
         self.u = u if u is not None else Const(0)
         self._q1_norm = s.den.norm()
-        self._roots = poly_roots(s.den) if s.den.degree >= 1 else []
 
     def eval(self, z, w):
         """Field value as the tangent pair (0, w-component)."""
@@ -77,9 +76,9 @@ class VerticalFieldZu:
                 return (z, w)
             return (z, sz + (w - sz) * cmath.exp(cz * t))
         # near a root of q1 the closed form divides by a vanishing q1;
-        # s (1 - e^(ct)) = -t e^u q Psi(tc, 1) cancels it exactly
+        # s (1 - e^(ct)) = -t e^u q phi1(tc) cancels it exactly
         return (z, w * cmath.exp(cz * t)
-                - t * uz * self.s.num(z) * psi(t * cz, 1.0))
+                - t * uz * self.s.num(z) * phi1(t * cz))
 
     def period(self, z):
         """Generator 2 pi i / c(z) of the closed-orbit time lattice at z."""
@@ -122,7 +121,7 @@ class DominatingMapF:
         z0 = complex(z0)
         w0 = complex(w0)
         den = self.cert.s.den
-        if abs(den(z0)) <= EPS_POLE * max(den.norm(), 1e-300):
+        if self.field.classify_fiber(z0) is FiberType.TYPE_C:
             qv = self.cert.s.num(z0)
             uv = cmath.exp(self.field.u(z0))
             if qv == 0:

@@ -49,6 +49,57 @@ def test_expr_json_unknown_op():
         expr_from_json({"op": "integral"})
 
 
+def test_smart_constructors_fold_constants():
+    two_z = Prod.of(Const(2.0), PolyNode(Poly([0.0, 1.0])))
+    assert isinstance(two_z, PolyNode) and two_z.poly == Poly([0.0, 2.0])
+    three = Sum.of(Const(1.0), PolyNode(Poly([2.0])))
+    assert isinstance(three, Const) and three.value == 3.0
+    assert isinstance(Sum.of(), Const) and Sum.of().value == 0
+    assert isinstance(PolyNode.of(Poly([4.0])), Const)
+
+
+def test_smart_constructors_flatten_nested_sums_and_products():
+    e1, e2 = Exp(Var()), Exp(PolyNode(Poly([0.0, 2.0])))
+    s = Sum.of(Sum([e1, Const(1.0)]), e2)
+    assert isinstance(s, Sum)
+    assert [type(a) for a in s.args] == [Const, Exp, Exp]
+    assert s.args[1] is e1 and s.args[2] is e2
+    p = Prod.of(Prod([e1, Const(3.0)]), e2)
+    assert isinstance(p, Prod)
+    assert p.args[0].value == 3.0 and p.args[1:] == (e1, e2)
+    # a unit polynomial factor is dropped
+    assert Prod.of(Const(1.0), e1) is e1
+
+
+def test_smart_constructors_cancel_signs():
+    e = Exp(Var())
+    assert Neg.of(Neg(e)) is e
+    assert Neg.of(Const(2.0)).value == -2.0
+    assert Neg.of(PolyNode(Poly([1.0, 1.0]))).poly == Poly([-1.0, -1.0])
+    assert isinstance(Neg.of(e), Neg)
+    # signs pulled out of factors cancel in pairs
+    assert Prod.of(Neg(e), Neg(e)).args == (e, e)
+    negated = Prod.of(Neg(e), e)
+    assert negated.args[0].value == -1.0 and negated.args[1:] == (e, e)
+
+
+def test_smart_constructors_zero_factor_and_exp_of_constant():
+    zero = Prod.of(Exp(Var()), Const(0.0), PolyNode(Poly([1.0, 1.0])))
+    assert isinstance(zero, Const) and zero.value == 0
+    one = Exp.of(Const(0.0))
+    assert isinstance(one, Const) and one.value == 1.0
+    assert isinstance(Exp.of(Var()), Exp)
+
+
+def test_as_poly_reads_polynomial_trees_only():
+    tree = Sum([PolyNode(Poly([0.0, 1.0])),
+                Neg(Prod([Const(2.0), PolyNode(Poly([1.0, 1.0]))]))])
+    assert tree.as_poly() == Poly([-2.0, -1.0])
+    assert Exp(Const(0.0)).as_poly() is None
+    assert Var().as_poly() is None
+    assert Sum([Const(1.0), Var()]).as_poly() is None
+
+
 def test_magnitude_jet_majorizes():
     e = Sum([Exp(PolyNode(Poly([0.5, -1.0, 0.25]))),
              Neg(Prod([PolyNode(Poly([1.0, 1.0])), Const(2.0)]))])
@@ -137,8 +188,23 @@ def _phi1_reference(x):
 
 def test_phi1_limit_and_continuity():
     assert phi1(0.0) == pytest.approx(1.0)
-    for x in (0.9999e-4, 1.0001e-4):  # straddle the series switch
-        assert abs(phi1(x) - _phi1_reference(x)) < 5e-12
+    for x in (4.9999e-5, 5.0001e-5, 0.9999e-4, 1.0001e-4):
+        # straddle the series switch and the old 1e-4 cutoff
+        assert abs(phi1(x) - _phi1_reference(x)) < 1e-15
+
+
+def test_phi1_at_zero_and_generic():
+    assert phi1(0.0) == 1.0
+    assert phi1(1.0) == pytest.approx(math.e - 1.0)
+
+
+@pytest.mark.parametrize("x", [1.01e-4, 2e-4j, 1e-2])
+def test_phi1_matches_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        xm = mpmath.mpc(x)
+        want = complex(mpmath.expm1(xm) / xm)
+    assert abs(phi1(x) - want) <= 4 * math.ulp(abs(want))
 
 
 small_cx = st.complex_numbers(min_magnitude=0.0, max_magnitude=2.0,
@@ -155,6 +221,14 @@ def test_magnitude_jet_majorizes_property(c1, c2, z0):
     mag = e.magnitude_jet(z0, 4)
     for got, bound in zip(jet, mag):
         assert abs(got) <= bound * (1 + 1e-9) + 1e-9
+
+
+@given(st.complex_numbers(max_magnitude=4e-4, allow_nan=False,
+                          allow_infinity=False))
+@settings(max_examples=100)
+def test_phi1_continuous_across_series_switch(x):
+    assert cmath.isclose(phi1(x), _phi1_reference(x),
+                         rel_tol=1e-14, abs_tol=1e-15)
 
 
 @given(st.complex_numbers(min_magnitude=1e-8, max_magnitude=1e-2,

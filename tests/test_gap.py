@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holodom.errors import DomainError
-from holodom.gap import construct_gap, hermite_interpolate, psi, verify_gap
+from holodom.gap import construct_gap, hermite_interpolate, verify_gap
 from holodom.poly import Poly, RationalFn
 
 
@@ -112,29 +112,6 @@ def test_certificate_json_shape():
     assert data["g1"] == []
     assert data["s"]["num"] == [[1.0, 0.0]]
     assert data["pole_data"][0]["order"] == 1
-
-
-def test_psi_at_zero_and_generic():
-    assert psi(0.0, 1.0) == pytest.approx(1.0)
-    assert psi(1.0, 1.0) == pytest.approx(math.e - 1.0)
-
-
-def _psi_reference(t, w):
-    acc, term = 0j, complex(w)
-    for k in range(1, 16):
-        acc += term
-        term = term * t * w / (k + 1)
-    return acc
-
-
-@given(st.complex_numbers(max_magnitude=2e-4, allow_nan=False,
-                          allow_infinity=False),
-       st.complex_numbers(max_magnitude=2.0, allow_nan=False,
-                          allow_infinity=False))
-@settings(max_examples=100)
-def test_psi_continuous_across_series_switch(t, w):
-    assert cmath.isclose(psi(t, w), _psi_reference(t, w),
-                         rel_tol=1e-9, abs_tol=1e-12)
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(

@@ -99,3 +99,28 @@ def test_zero_length_segments_are_skipped():
     res = integrate(exponential, (0j, 1.0 + 0j),
                     IntegrationSpec(path=(0j, 1.0 + 0j, 1.0 + 0j)))
     assert abs(res.endpoint[1] - math.e) < 1e-8
+
+
+def test_oracle_imports_only_stdlib_numpy_and_errors():
+    # the oracle cross-checks the closed forms, so it must share no code
+    # with them: stdlib, numpy and the package's error classes only
+    import ast
+    import sys
+    from pathlib import Path
+
+    import holodom.oracle
+
+    tree = ast.parse(Path(holodom.oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.level, node.module) == (1, "errors")
+            continue
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert top == "numpy" or top in sys.stdlib_module_names, name

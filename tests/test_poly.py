@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holodom.errors import DomainError
-from holodom.poly import (Poly, PrincipalPart, RationalFn, laurent_coeffs,
-                          poly_gcd, poly_roots, principal_parts, rat_eval,
-                          series_div, series_exp, series_log, series_mul,
-                          taylor_jet)
+from holodom.poly import (Poly, RationalFn, poly_gcd, poly_roots, rat_eval,
+                          series_div, series_exp, series_log, series_mul)
 
 
 def test_poly_eval_and_arithmetic():
@@ -110,31 +108,6 @@ def test_rat_eval_marks_poles():
     s = RationalFn(Poly([1.0]), Poly([0.0, 1.0]))
     assert rat_eval(s, 0.0) is POLE
     assert rat_eval(s, 2.0) == pytest.approx(0.5)
-
-
-def test_taylor_jet_of_rational():
-    s = RationalFn(Poly([1.0]), Poly([1.0, -1.0]))  # 1/(1 - z)
-    jet = taylor_jet(s, 0.0, 4)
-    assert jet == pytest.approx([1.0, 1.0, 1.0, 1.0, 1.0])
-
-
-def test_laurent_coeffs_simple_pole():
-    s = RationalFn(Poly([1.0]), Poly([0.0, 1.0]))  # 1/z
-    coeffs = laurent_coeffs(s, 0.0, 1, low=-1)
-    assert coeffs[0] == pytest.approx(1.0)  # residue
-
-
-def test_principal_parts_reassemble():
-    s = RationalFn(Poly([2.0, 1.0]), Poly.from_roots([1.0, -1.0]))
-    parts = principal_parts(s)
-    z = 0.3 + 0.4j
-    total = sum(part(z) for part in parts)
-    assert total == pytest.approx(s(z), rel=1e-9)
-
-
-def test_principal_part_eval():
-    part = PrincipalPart(1.0, 2, [3.0, 2.0])  # 3/(z-1)^2 + 2/(z-1)
-    assert part(2.0) == pytest.approx(5.0)
 
 
 def test_series_exp_log_inverse():
