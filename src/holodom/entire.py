@@ -2,10 +2,10 @@
 
 Nodes: Const, Var, PolyNode, Sum, Prod, Neg, Exp, RemovableQuotient.
 Every tree evaluates, differentiates symbolically, and produces truncated
-Taylor jets at arbitrary centers.  RemovableQuotient(numer, den) asserts at
-construction that numer vanishes at every root of den to the root's order,
-so the quotient extends to an entire function; evaluation switches to a
-cached local series near denominator roots.
+Taylor jets at arbitrary centers.  RemovableQuotient(numer, den, roots)
+asserts at construction that numer vanishes at every root of den to the
+root's order, so the quotient extends to an entire function; evaluation
+switches to a cached local series near denominator roots.
 
 The raw constructors build exactly the tree asked for, which keeps
 certificate JSON stable; the smart constructors Sum.of, Prod.of, Neg.of,
@@ -351,6 +351,8 @@ class Exp(EntireExpr):
 class RemovableQuotient(EntireExpr):
     """numer/den where den's roots are all removable singularities of the quotient.
 
+    The caller supplies den's roots as (root, multiplicity) pairs, as
+    poly_roots returns them; the multiplicities must sum to den's degree.
     Construction fails unless the jet of numer at every root of den vanishes
     through (multiplicity - 1), relative tolerance EPS_JET.  A local quotient
     series of order multiplicity + JET_EXTRA is cached per root and used for
@@ -362,12 +364,15 @@ class RemovableQuotient(EntireExpr):
 
     __slots__ = ("numer", "den", "_roots", "_series", "_radius")
 
-    def __init__(self, numer: EntireExpr, den: Poly):
+    def __init__(self, numer: EntireExpr, den: Poly, roots):
         if den.degree < 1:
             raise DomainError("RemovableQuotient denominator must be nonconstant")
+        if sum(m for _, m in roots) != den.degree:
+            raise DomainError("root multiplicities do not sum to degree %d"
+                              % den.degree)
         self.numer = numer
         self.den = den
-        self._roots = poly_roots(den)
+        self._roots = roots
         centers = [r for r, _ in self._roots]
         dists = [abs(centers[i] - centers[j])
                  for i in range(len(centers)) for j in range(i)]
@@ -404,7 +409,8 @@ class RemovableQuotient(EntireExpr):
     def derive(self):
         dnum = Sum([Prod([self.numer.derive(), PolyNode(self.den)]),
                     Neg(Prod([self.numer, PolyNode(self.den.deriv())]))])
-        return RemovableQuotient(dnum, self.den * self.den)
+        return RemovableQuotient(dnum, self.den * self.den,
+                                 [(r, 2 * m) for r, m in self._roots])
 
     def jet(self, z0, order):
         # multiplicity read off the denominator jet itself, so centers that
@@ -446,8 +452,9 @@ def expr_from_json(data) -> EntireExpr:
     if op == "exp":
         return Exp(expr_from_json(data["arg"]))
     if op == "rq":
-        return RemovableQuotient(expr_from_json(data["num"]),
-                                 Poly.from_json(data["den"]))
+        den = Poly.from_json(data["den"])
+        return RemovableQuotient(expr_from_json(data["num"]), den,
+                                 poly_roots(den))
     raise DomainError("unknown expression op %r" % (op,))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .entire import (EPS_JET, Const, EntireExpr, Exp, Neg, PolyNode, Prod,
                      RemovableQuotient, Sum)
-from .poly import EPS_POLE, Poly, RationalFn, poly_roots, series_log
+from .poly import Poly, RationalFn, poly_roots, series_log, vanishes_at
 from .sampling import sample_disk
 
 
@@ -107,18 +107,19 @@ def construct_gap(s: RationalFn) -> GapCertificate:
         g_expr = Prod([PolyNode(q1), Exp(Neg(PolyNode(g1)))])
         h = Sum([PolyNode(q), Const(-1.0)])
         return GapCertificate(s, g1, g_expr, h, ())
+    roots = poly_roots(q1)
     nodes = []
     data = []
-    for pole, order in poly_roots(q1):
-        qjet = q.jet(pole, max(order - 1, 0))
-        if abs(qjet[0]) <= EPS_POLE * max(q.norm(), 1e-300):
+    for pole, order in roots:
+        if vanishes_at(q, pole):
             raise DomainError("num and den share the root %r" % (pole,))
+        qjet = q.jet(pole, max(order - 1, 0))
         logjet = series_log(qjet, order - 1)  # principal branch at the value
         nodes.append((pole, logjet))
         data.append(PoleDatum(pole, order, logjet[0]))
     g1 = hermite_interpolate(nodes)
     numer = Sum([PolyNode(q), Neg(Exp(PolyNode(g1)))])
-    h = RemovableQuotient(numer, q1)
+    h = RemovableQuotient(numer, q1, roots)
     g_expr = Prod([PolyNode(q1), Exp(Neg(PolyNode(g1)))])
     return GapCertificate(s, g1, g_expr, h, tuple(data))
 
@@ -148,8 +149,9 @@ def verify_gap(cert: GapCertificate, n_samples: int = 1000, seed: int = 0,
     """Sampled evidence that graph(h) avoids graph(s).
 
     The separation s - h equals 1/g = e^(g1)/q1 identically, so the minimum
-    of |h - s| is evaluated in log space; direct subtraction would cancel to
-    exact zero once e^(Re g1) drops below machine precision against |q|.
+    of |h - s| is found and judged in log space; direct subtraction would
+    cancel to exact zero once e^(Re g1) drops below machine precision
+    against |q|.  A minimum below the float range is reported as 0.0.
     The report's consistency entry bounds |(s - h) - 1/g| at every sample,
     scaled by the operand magnitudes, so a wrong h cannot hide behind the
     identity.  Also reports max |h| on circles of radius 1e-2 around each
@@ -159,20 +161,20 @@ def verify_gap(cert: GapCertificate, n_samples: int = 1000, seed: int = 0,
     poles = [p.pole for p in cert.pole_data]
     pts = sample_disk(rng, n_samples, center, radius,
                       avoid=poles, min_dist=1e-8)
-    best = float("inf")
+    best_log = math.inf
     argmin = 0j
     mismatch = 0.0
     for z in pts:
         denv = cert.s.den(z)
         g1v = cert.g1(z)
         log_gap = g1v.real - math.log(max(abs(denv), 5e-324))
-        d = math.exp(min(log_gap, 700.0))
-        if d < best:
-            best = d
+        if log_gap < best_log:
+            best_log = log_gap
             argmin = z
-        hv = cert.h(z)
-        sv = cert.s.num(z) / denv
         if g1v.real <= 650.0:
+            # beyond this e^(g1) overflows in h, so only the log gap is kept
+            hv = cert.h(z)
+            sv = cert.s.num(z) / denv
             gap = cmath.exp(g1v) / denv
             scale = 1.0 + abs(sv) + abs(hv) + abs(gap)
             mismatch = max(mismatch, abs((sv - hv) - gap) / scale)
@@ -188,6 +190,6 @@ def verify_gap(cert: GapCertificate, n_samples: int = 1000, seed: int = 0,
         scale = max(cert.h.numer.magnitude_jet(pole, order + 4)) or 1.0
         for k in range(order):
             residual = max(residual, abs(njet[k]) / scale)
-    passed = best > 0.0 and residual < EPS_JET
-    return GapReport(best, argmin, circle_max, residual, mismatch,
-                     n_samples, passed)
+    passed = best_log > -math.inf and residual < EPS_JET
+    return GapReport(math.exp(min(best_log, 700.0)), argmin, circle_max,
+                     residual, mismatch, n_samples, passed)

@@ -16,7 +16,8 @@ from .errors import DomainError, NumericalError
 EPS_GCD = 1e-10      # remainder considered zero, relative
 EPS_ROOT = 1e-12     # root residual target, relative
 CLUSTER_TOL = 1e-7   # roots closer than this are merged
-EPS_POLE = 1e-9      # |den(z)| below this (relative) counts as a pole hit
+EPS_POLE = 1e-9      # |p(z)| below this (relative) counts as a root hit
+ABERTH_MAX_ITER = 80  # refinement sweeps before giving up
 
 
 def _require_finite(values):
@@ -174,12 +175,12 @@ def _coerce(x):
     return Poly([x])
 
 
-def poly_gcd(a: Poly, b: Poly, eps: float = EPS_GCD) -> Poly:
-    """Monic gcd by the Euclidean algorithm with relative zero-threshold eps."""
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm, zero-threshold EPS_GCD relative."""
     scale = max(a.norm(), b.norm())
     if scale == 0.0:
         raise DomainError("gcd of two zero polynomials")
-    tol = eps * scale
+    tol = EPS_GCD * scale
     a = a.trim(tol)
     b = b.trim(tol)
     if a.is_zero:
@@ -194,7 +195,7 @@ def poly_gcd(a: Poly, b: Poly, eps: float = EPS_GCD) -> Poly:
         a, b = b, r
 
 
-def _aberth(coeffs, guesses, eps, max_iter=80):
+def _aberth(coeffs, guesses):
     """Aberth-Ehrlich simultaneous refinement; coeffs ascending, simple roots."""
     p = np.array(coeffs, dtype=complex)
     dp = p[1:] * np.arange(1, len(p))
@@ -202,7 +203,7 @@ def _aberth(coeffs, guesses, eps, max_iter=80):
     n = len(z)
     if n == 0:
         return z
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         pz = np.polyval(p[::-1], z)
         dpz = np.polyval(dp[::-1], z)
         dpz = np.where(np.abs(dpz) < 1e-300, 1e-300, dpz)
@@ -216,40 +217,25 @@ def _aberth(coeffs, guesses, eps, max_iter=80):
         denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
         step = newton / denom
         z = z - step
-        if np.max(np.abs(step)) <= eps * (1.0 + np.max(np.abs(z))):
+        if np.max(np.abs(step)) <= EPS_ROOT * (1.0 + np.max(np.abs(z))):
             break
     return z
 
 
-def _cluster(points, tol):
-    """Greedy merge of points within tol of a cluster centroid."""
-    clusters = []
-    for z in sorted(points, key=lambda c: (c.real, c.imag)):
-        for cl in clusters:
-            center = cl[0] / cl[1]
-            if abs(z - center) <= tol * (1.0 + abs(center)):
-                cl[0] += z
-                cl[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    return [(cl[0] / cl[1], cl[1]) for cl in clusters]
-
-
-def _square_free_split(p, eps):
+def _square_free_split(p):
     """Yun-style split: list of (square-free factor, multiplicity)."""
     out = []
     mult = 1
     while p.degree > 0:
-        g = poly_gcd(p, p.deriv(), eps)
+        g = poly_gcd(p, p.deriv())
         if g.degree == 0:
             out.append((p.monic(), mult))
             break
         f, _ = p.divmod(g)  # roots of p, each once
         # roots of multiplicity exactly `mult` in the original are roots of f not in g
-        h = poly_gcd(f, g, eps)
+        h = poly_gcd(f, g)
         exact, _ = f.divmod(h)
-        exact = exact.trim(eps * max(1.0, exact.norm()))
+        exact = exact.trim(EPS_GCD * max(1.0, exact.norm()))
         if exact.degree > 0:
             out.append((exact.monic(), mult))
         p = g
@@ -257,37 +243,37 @@ def _square_free_split(p, eps):
     return out
 
 
-def poly_roots(p: Poly, eps: float = EPS_ROOT, cluster_tol: float = CLUSTER_TOL):
+def poly_roots(p: Poly):
     """All roots of p with multiplicities, as a list of (root, mult).
 
     Multiple roots are isolated through a tolerant square-free split, then
     each square-free factor is solved by companion-matrix eigenvalues
-    refined with Aberth-Ehrlich.  Roots within cluster_tol merge.
+    refined with Aberth-Ehrlich.  In (real, imag) order, each root of any
+    factor joins the first weighted centroid within CLUSTER_TOL (relative).
     """
     if p.is_zero:
         raise DomainError("zero polynomial has every point as a root")
     if p.degree == 0:
         return []
-    result = []
-    for factor, mult in _square_free_split(p, EPS_GCD):
+    found = []
+    for factor, mult in _square_free_split(p):
         if factor.degree == 0:
             continue
         guesses = np.roots(list(factor.coeffs)[::-1])
-        roots = _aberth(factor.coeffs, guesses, eps)
+        roots = _aberth(factor.coeffs, guesses)
         scale = factor.norm()
         for r in roots:
             r = complex(r)
             res = abs(factor(r))
-            bound = eps * scale * max(1.0, abs(r)) ** factor.degree
-            if res > max(bound, 1e3 * eps * scale):
+            bound = EPS_ROOT * scale * max(1.0, abs(r)) ** factor.degree
+            if res > max(bound, 1e3 * EPS_ROOT * scale):
                 raise NumericalError(
                     "root refinement stalled: residual %.3e at %r" % (res, r))
-        for root, times in _cluster([complex(r) for r in roots], cluster_tol):
-            result.append((root, times * mult))
+            found.append((r, mult))
     merged = []
-    for root, m in result:
+    for root, m in sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)):
         for k, (r0, m0) in enumerate(merged):
-            if abs(root - r0) <= cluster_tol * (1.0 + abs(r0)):
+            if abs(root - r0) <= CLUSTER_TOL * (1.0 + abs(r0)):
                 merged[k] = ((r0 * m0 + root * m) / (m0 + m), m0 + m)
                 break
         else:
@@ -388,13 +374,10 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, normalize: bool = True):
+    def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
             raise DomainError("rational function with zero denominator")
-        if normalize:
-            num, den = _rat_normalize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _rat_normalize(num, den)
 
     def __call__(self, z):
         return rat_eval(self, z)
@@ -427,10 +410,16 @@ def _rat_normalize(num, den):
     return Poly([c / lead for c in num.coeffs]), den.monic()
 
 
-def rat_eval(f: RationalFn, z, eps: float = EPS_POLE):
-    """Value of f at z, or POLE when |den(z)| <= eps * max|den coeff|."""
-    d = f.den(z)
-    if abs(d) <= eps * f.den.norm() * max(1.0, abs(z)) ** max(f.den.degree, 0):
+def vanishes_at(p: Poly, z) -> bool:
+    """The one "is z at a root of p" test: |p(z)| is at rounding level,
+    at most EPS_POLE * max|coeff| * max(1, |z|)^degree."""
+    bound = EPS_POLE * p.norm() * max(1.0, abs(z)) ** max(p.degree, 0)
+    return abs(p(z)) <= bound
+
+
+def rat_eval(f: RationalFn, z):
+    """Value of f at z, or POLE where f.den vanishes_at z."""
+    if vanishes_at(f.den, z):
         return POLE
-    return f.num(z) / d
+    return f.num(z) / f.den(z)
 

@@ -34,7 +34,7 @@ from .entire import PolyNode
 from .errors import EscapeError, NotHolomorphicError, NumericalError
 from .gap import construct_gap, verify_gap
 from .oracle import IntegrationSpec, integrate, monodromy_check
-from .poly import Poly, RationalFn, poly_roots
+from .poly import Poly, RationalFn
 from .riccati import (
     DoubleSection,
     RiccatiField,
@@ -161,16 +161,16 @@ def flow_fidelity(seed=0) -> CriterionReport:
     jet_cases = 0
     total = 0
     for _ in range(10):
-        s, _ = random_section(rng, max_poles=2, max_order=2, num_degree=3,
-                              log_bound=60.0, radius=2.3)
+        s, cert = random_section(rng, max_poles=2, max_order=2, num_degree=3,
+                                 log_bound=60.0, radius=2.3)
         u = Poly([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
                   for _ in range(3)])
         field = VerticalFieldZu(s, PolyNode(u))
-        roots = poly_roots(s.den)
+        poles = [d.pole for d in cert.pole_data]
         for j in range(20):
             if j >= 17:
                 # force the series path: walk in until q1 is tiny
-                root = roots[int(rng.integers(len(roots)))][0]
+                root = poles[int(rng.integers(len(poles)))]
                 step = 0.05 * cmath.exp(2j * cmath.pi * rng.uniform())
                 z = root + step
                 for _ in range(60):
@@ -204,12 +204,12 @@ def group_law_and_period(seed=0) -> CriterionReport:
     rng = rng_from_seed(seed)
     worst = 0.0
     for _ in range(8):
-        s, _ = random_section(rng, max_poles=2, max_order=2, num_degree=3,
-                              log_bound=60.0, radius=2.3)
+        s, cert = random_section(rng, max_poles=2, max_order=2, num_degree=3,
+                                 log_bound=60.0, radius=2.3)
         u = Poly([complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
                   for _ in range(2)])
         field = VerticalFieldZu(s, PolyNode(u))
-        poles = [p for p, _ in poly_roots(s.den)]
+        poles = [d.pole for d in cert.pole_data]
         for _ in range(25):
             z = sample_disk(rng, 1, 0j, 1.8, avoid=poles, min_dist=0.02)[0]
             w = sample_disk(rng, 1, 0j, 2.0)[0]
@@ -252,7 +252,7 @@ def exponential_identity(seed=0) -> CriterionReport:
         s, cert = random_section(rng, max_poles=3, max_order=2, num_degree=4,
                                  log_bound=50.0, radius=2.7)
         f = DominatingMapF(cert, PolyNode(-cert.g1))
-        poles = [p for p, _ in poly_roots(s.den)]
+        poles = [d.pole for d in cert.pole_data]
         for z in sample_disk(rng, 100, 0j, 2.5, avoid=poles, min_dist=0.2):
             g = f.g_value(z)
             t = _scaled_time(rng, g)
@@ -291,8 +291,7 @@ def preimage_round_trip(seed=0) -> CriterionReport:
     worst = 0.0
     log_count = lin_count = 0
     for s, f in _fixed_maps():
-        roots = poly_roots(s.den)
-        poles = [p for p, _ in roots]
+        poles = [d.pole for d in f.cert.pole_data]
         for _ in range(350):
             z = sample_disk(rng, 1, 0j, 2.0, avoid=poles, min_dist=0.05)[0]
             mag = 10.0 ** rng.uniform(math.log10(0.05), math.log10(4.0))
@@ -302,7 +301,7 @@ def preimage_round_trip(seed=0) -> CriterionReport:
             zz, ww = f(z, pre.t)
             worst = max(worst, math.hypot(abs(zz - z), abs(ww - w0)))
         for i in range(150):
-            z0 = roots[i % len(roots)][0]
+            z0 = poles[i % len(poles)]
             w0 = sample_disk(rng, 1, 0j, 3.0)[0]
             pre = f.preimage(z0, w0)
             lin_count += 1 if pre.branch == "linear" else 0
@@ -320,8 +319,8 @@ def jacobian_determinant(seed=0) -> CriterionReport:
     rng = rng_from_seed(seed)
     worst = 0.0
     min_det = float("inf")
-    for s, f in _fixed_maps():
-        poles = [p for p, _ in poly_roots(s.den)]
+    for _, f in _fixed_maps():
+        poles = [d.pole for d in f.cert.pole_data]
         for z in sample_disk(rng, 100, 0j, 2.2, avoid=poles, min_dist=0.15):
             t = _scaled_time(rng, f.field.c(z), cap=3.0)
             det = f.jacobian(z, t)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DomainError, TypeCFiberError
 from .entire import EntireExpr, Const, phi1
 from .gap import GapCertificate
-from .poly import EPS_POLE, RationalFn
+from .poly import RationalFn, vanishes_at
 
 JET_SWITCH = 1e-3   # |q1(z)| below this (times max|q1 coeff|) uses the phi1 form
 
@@ -55,7 +55,7 @@ class VerticalFieldZu:
         return cmath.exp(self.u(complex(z))) * self.s.den(complex(z))
 
     def classify_fiber(self, z) -> FiberType:
-        if abs(self.s.den(z)) <= EPS_POLE * max(self._q1_norm, 1e-300):
+        if vanishes_at(self.s.den, z):
             return FiberType.TYPE_C
         return FiberType.TYPE_C_STAR
 

@@ -1,15 +1,14 @@
 """Field catalog: validation, instantiation, conjugation, closed flows."""
 
 import cmath
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from holodom.catalog import (AffineFiberFamily, FamilyI, FamilyII, FamilyIII,
-                             FamilyIV, FiberAutomorphism, GraphCurve,
-                             MonomialFlowFamily, ScalingField, SuzukiForm1,
-                             SuzukiForm3, SuzukiForm4, alpha_conjugate,
+                             FamilyIV, FiberAutomorphism, MonomialFlowFamily,
+                             ScalingField, SuzukiForm1, SuzukiForm3,
+                             SuzukiForm4, alpha_conjugate,
                              closed_flow_family, eigenratio, family_from_json,
                              family_to_json, first_integral_check,
                              instantiate_family, lbl_automorphism,

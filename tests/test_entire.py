@@ -6,11 +6,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holodom.entire
 from holodom.entire import (Const, Exp, ExpPoly, Neg, PolyNode, Prod,
                             RemovableQuotient, Sum, Var,
                             compose_poly_with_exps, expr_from_json, phi1)
 from holodom.errors import DomainError
-from holodom.poly import Poly
+from holodom.poly import Poly, poly_roots
 
 
 def test_expr_eval_basic():
@@ -113,19 +114,40 @@ def test_magnitude_jet_majorizes():
 def test_removable_quotient_equals_polynomial_quotient():
     quot = Poly([2.0, -1.0, 0.5])
     den = Poly.from_roots([1.0, -1.0])
-    rq = RemovableQuotient(PolyNode(den * quot), den)
+    rq = RemovableQuotient(PolyNode(den * quot), den, poly_roots(den))
     for z in (0.0, 1.0 + 1e-9, 3.0 - 2.0j):
         assert rq(z) == pytest.approx(quot(z), rel=1e-10, abs=1e-10)
 
 
 def test_removable_quotient_rejects_actual_pole():
     with pytest.raises(DomainError):
-        RemovableQuotient(PolyNode(Poly([1.0])), Poly([0.0, 1.0]))
+        RemovableQuotient(PolyNode(Poly([1.0])), Poly([0.0, 1.0]), [(0j, 1)])
+
+
+def test_removable_quotient_rejects_roots_short_of_the_degree():
+    den = Poly.from_roots([0.5, 0.5])
+    with pytest.raises(DomainError):
+        RemovableQuotient(PolyNode(den), den, [(0.5 + 0j, 1)])
+
+
+def test_removable_quotient_derive_reuses_the_roots(monkeypatch):
+    quot = Poly([1.0, -0.5, 0.25, 0.1])
+    den = Poly.from_roots([0.5, 0.5, -1.0])
+    rq = RemovableQuotient(PolyNode(den * quot), den, poly_roots(den))
+
+    def refuse(p):
+        raise AssertionError("derive root-found %r" % (p,))
+
+    monkeypatch.setattr(holodom.entire, "poly_roots", refuse)
+    drq = rq.derive()
+    dquot = quot.deriv()
+    for z in (0.5, 0.5 + 1e-4, -1.0 + 1e-3j, 2.0 - 1.0j):
+        assert abs(drq(z) - dquot(z)) < 1e-8 * max(1.0, abs(dquot(z)))
 
 
 def test_removable_quotient_constant_denominator_rejected():
     with pytest.raises(DomainError):
-        RemovableQuotient(PolyNode(Poly([1.0])), Poly([2.0]))
+        RemovableQuotient(PolyNode(Poly([1.0])), Poly([2.0]), [])
 
 
 def test_removable_quotient_accurate_near_multiple_root():
@@ -133,7 +155,7 @@ def test_removable_quotient_accurate_near_multiple_root():
     # evaluation there must fall back to the direct quotient
     quot = Poly([1.0, 0.3, -0.2, 0.05])
     den = Poly.from_roots([0.8, 0.8, 0.8, 5.0])
-    rq = RemovableQuotient(PolyNode(den * quot), den)
+    rq = RemovableQuotient(PolyNode(den * quot), den, poly_roots(den))
     for dist in (1e-4, 5e-3, 0.05, 0.233, 2.0):
         z = 0.8 + dist * cmath.exp(0.3j)
         assert abs(rq(z) - quot(z)) < 1e-8 * max(1.0, abs(quot(z)))
@@ -142,7 +164,7 @@ def test_removable_quotient_accurate_near_multiple_root():
 def test_removable_quotient_jet_at_root():
     quot = Poly([2.0, 1.0])
     den = Poly.from_roots([0.5, 0.5])
-    rq = RemovableQuotient(PolyNode(den * quot), den)
+    rq = RemovableQuotient(PolyNode(den * quot), den, poly_roots(den))
     jet = rq.jet(0.5, 1)
     assert jet[0] == pytest.approx(quot(0.5))
     assert jet[1] == pytest.approx(quot.deriv()(0.5))

@@ -6,6 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holodom.entire
+import holodom.gap
+import holodom.poly
+from holodom.entire import expr_from_json
 from holodom.errors import DomainError
 from holodom.gap import construct_gap, hermite_interpolate, verify_gap
 from holodom.poly import Poly, RationalFn
@@ -104,6 +108,53 @@ def test_verify_gap_min_difference_positive_despite_underflow():
     rep = verify_gap(cert, n_samples=2000, seed=11)
     assert rep.passed
     assert rep.min_difference > 0.0
+
+
+def _steep(a):
+    # s = z/(z^2 - a^2): g1 = Log a + i pi/2 - i pi z/(2a), so Re g1 runs
+    # linearly from about -pi|z|/(2a) to +pi|z|/(2a) across a disk
+    return construct_gap(rational([0.0, 1.0], [-a * a, 0.0, 1.0]))
+
+
+def test_verify_gap_survives_g1_beyond_the_float_range():
+    cert = _steep(0.005)
+    assert cert.g1(3j).real > 709.0  # e^(g1) overflows a float there
+    rep = verify_gap(cert, n_samples=1000, seed=0)
+    assert rep.passed
+    assert rep.consistency < 1e-6
+
+
+def test_verify_gap_passes_when_every_gap_underflows():
+    # on this disk Re g1 < -600, so e^(g1)/q1 is below the float range at
+    # most samples; it is still nowhere zero and the certificate is correct
+    cert = _steep(0.005)
+    rep = verify_gap(cert, n_samples=500, seed=0, center=-5j)
+    assert rep.min_difference == 0.0
+    assert rep.passed
+    assert rep.argmin.imag < -7.0
+
+
+def test_construct_and_verify_find_the_roots_once(monkeypatch):
+    real = holodom.poly.poly_roots
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (holodom.poly, holodom.gap, holodom.entire):
+        monkeypatch.setattr(module, "poly_roots", counted)
+    s = rational([3.0, 1.0], Poly.from_roots([1.0, 1.0, -0.5j]).coeffs)
+    verify_gap(construct_gap(s), n_samples=200, seed=1)
+    assert calls == [s.den]
+
+
+def test_h_round_trips_through_json_bit_for_bit():
+    s = rational([3.0, 1.0], Poly.from_roots([1.0, 1.0, -0.5j]).coeffs)
+    h = construct_gap(s).h
+    back = expr_from_json(h.to_json())
+    for z in (0.0, 1.0 + 1e-4, -0.5j + 2e-3, 1.0, 2.0 - 1.0j):
+        assert back(z) == h(z)
 
 
 def test_certificate_json_shape():

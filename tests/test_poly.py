@@ -159,3 +159,29 @@ def test_series_exp_log_round_trip_property(jet, order):
                          rel_tol=1e-8, abs_tol=1e-8)
     for got, expect in zip(out[1:], want[1:]):
         assert cmath.isclose(got, expect, rel_tol=1e-8, abs_tol=1e-8)
+
+
+def test_root_decisions_stay_in_poly():
+    # root tolerances are named only in poly.py, and roots are found only
+    # where a denominator enters: construct_gap and expr_from_json
+    import ast
+    from pathlib import Path
+
+    import holodom
+
+    tolerances = {"EPS_POLE", "CLUSTER_TOL", "EPS_GCD"}
+    finders = {("gap.py", "construct_gap"), ("entire.py", "expr_from_json")}
+    for path in sorted(Path(holodom.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                        or getattr(node, "name", None))
+                assert name not in tolerances, (path.name, name)
+                if isinstance(node, ast.Call):
+                    func = getattr(node.func, "id", None) or getattr(
+                        node.func, "attr", None)
+                    if func == "poly_roots":
+                        assert (path.name, owner) in finders, (path.name, owner)

@@ -9,7 +9,7 @@ from holodom.entire import PolyNode
 from holodom.errors import DomainError
 from holodom.gap import construct_gap
 from holodom.oracle import IntegrationSpec, integrate
-from holodom.poly import Poly, RationalFn
+from holodom.poly import POLE, Poly, RationalFn, rat_eval
 from holodom.vertical import DominatingMapF, FiberType, VerticalFieldZu
 
 
@@ -169,3 +169,12 @@ def test_jacobian_never_vanishes_on_grid():
     for k in range(24):
         z = 2.0 * cmath.exp(2j * math.pi * k / 24) + 0.1
         assert abs(f.jacobian(z, 0.3j)) > 0.0
+
+
+def test_rat_eval_and_classify_fiber_agree_next_to_a_root():
+    # |q1(z)| = 3e-9 is under the |z|-scaled bound 1e-9 * 2 * |z| = 4e-9
+    # but over the unscaled 2e-9: both must apply the same bound
+    s = rational([1.0], [-2.0, 1.0])
+    z = 2.0 + 3e-9
+    assert rat_eval(s, z) is POLE
+    assert VerticalFieldZu(s).classify_fiber(z) is FiberType.TYPE_C
