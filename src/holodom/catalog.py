@@ -4,7 +4,7 @@ Plane fields P(z,w) d/dz + Q(z,w) d/dw are stored with entire-expression
 coefficients per power of w.  The module provides the parameterized families
 with their validity checks, fiber automorphisms and pushforwards, the shear
 conjugation over Laurent tables, tangency and eigenvalue-ratio certificates,
-and closed-form flows built from exponential-polynomial antiderivatives.
+and closed-form flows of families (i)-(iii) written in phi-type integrals.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .entire import (Const, EntireExpr, Exp, ExpPoly, Neg, PolyNode, Prod,
-                     Sum, compose_poly_with_exps, phi1)
-from .errors import DomainError, NotHolomorphicError
+from .entire import (Const, EntireExpr, Exp, Neg, PolyNode, Prod, Sum, phi1,
+                     phi1_power_integral)
+from .errors import DomainError, NotHolomorphicError, NumericalError
 from .gap import GapCertificate
 from .poly import Poly, RationalFn
 from .sampling import rng_from_seed, sample_annulus, sample_disk
@@ -41,10 +41,6 @@ class BivarExpr:
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @property
-    def w_degree(self):
-        return len(self.coeffs) - 1
 
     def __call__(self, z, w):
         acc = 0j
@@ -521,13 +517,6 @@ _FIELD_DECODERS = {
     "rat": RationalFn.from_json,
 }
 
-_FIELD_ENCODERS = {
-    "cx": lambda v: [v.real, v.imag],
-    "int": int,
-    "poly": lambda v: v.to_json(),
-    "rat": lambda v: v.to_json(),
-}
-
 
 def family_from_json(data):
     """Decode a family spec from {"kind": ..., ...params}; complex scalars
@@ -552,17 +541,6 @@ def family_from_json(data):
     spec = cls(**kwargs)
     spec.validate()
     return spec
-
-
-def family_to_json(spec):
-    """Inverse of family_from_json."""
-    for kind, (cls, fields) in _FAMILY_KINDS.items():
-        if type(spec) is cls:
-            out = {"kind": kind}
-            for name, typ in fields:
-                out[name] = _FIELD_ENCODERS[typ](getattr(spec, name))
-            return out
-    raise DomainError("unknown family spec %r" % (type(spec).__name__,))
 
 
 def _restricted_positive_rational(value) -> Fraction:
@@ -858,38 +836,43 @@ def eigenratio(field: PlaneField, p, max_den: int = RATIO_MAX_DEN,
 # closed flows
 
 def closed_flow_family(spec, t, p):
-    """Time-t flow of a family (i), (ii), or (iii) member from p, evaluated
-    through exponential-polynomial antiderivatives."""
+    """Time-t flow of a family (i), (ii), or (iii) member from p, written in
+    phi-type integrals (phi1 and phi1_power_integral) that stay accurate at
+    every rate, 0 included.  NumericalError when the flow leaves the float
+    range."""
     t = complex(t)
     flow = _CLOSED_FLOWS.get(type(spec))
     if flow is None:
         raise DomainError("closed flows cover families (i)-(iii) only")
     spec.validate()
-    return flow(spec, t, p)
+    try:
+        out = flow(spec, t, p)
+    except OverflowError as exc:
+        raise NumericalError("closed flow overflows at t = %r" % (t,)) from exc
+    if not all(cmath.isfinite(v) for v in out):
+        raise NumericalError("closed flow leaves the float range at t = %r"
+                             % (t,))
+    return out
 
 
 def _flow_family_i(spec: FamilyI, t, p):
+    # x(s) = x0 + c1·s·phi1(a s), so the integral of M(x(s)) is
+    # sum_l M^(l)(x0)/l!·c1^l·t^(l+1)·phi1_power_integral(l, a t)
     x0, y0 = complex(p[0]), complex(p[1])
-    a, b = complex(spec.a), complex(spec.b)
-    x1 = x0 + (a * x0 + b) * t * phi1(a * t)
-    if a != 0:
-        profile = compose_poly_with_exps(spec.multiplier.coeffs,
-                                         -b / a, x0 + b / a, a)
-    else:
-        shifted = spec.multiplier.shift(x0)
-        profile = ExpPoly([(Poly([c * b ** k
-                                  for k, c in enumerate(shifted.coeffs)]),
-                            0.0)])
-    return (x1, y0 * cmath.exp(profile.definite(t)))
+    a = complex(spec.a)
+    c1 = a * x0 + complex(spec.b)
+    integral = t * sum(c * (c1 * t) ** l * phi1_power_integral(l, a * t)
+                       for l, c in enumerate(spec.multiplier.shift(x0).coeffs))
+    return (x0 + c1 * t * phi1(a * t), y0 * cmath.exp(integral))
 
 
 def _flow_family_ii(spec: FamilyII, t, p):
+    # the monomial x^m y^n grows like e^(n a s)
     x0, y0 = complex(p[0]), complex(p[1])
     a = complex(spec.a)
     mono = x0 ** spec.m * y0 ** spec.n
-    profile = compose_poly_with_exps(spec.multiplier.coeffs,
-                                     0.0, mono, spec.n * a)
-    integral = profile.definite(t)
+    integral = t * sum(c * mono ** j * phi1(j * spec.n * a * t)
+                       for j, c in enumerate(spec.multiplier.coeffs))
     return (x0 * cmath.exp(spec.n * integral),
             y0 * cmath.exp(a * t - spec.m * integral))
 
@@ -898,12 +881,7 @@ def _flow_family_iii(spec: FamilyIII, t, p):
     z0, w0 = complex(p[0]), complex(p[1])
     a, k = complex(spec.a), spec.k
     tail = spec.tail
-    if a == 0:
-        # z frozen; w solves a constant-coefficient linear equation
-        rate = tail(z0)
-        drive = -Poly(tail.coeffs[k:])(z0)
-        return (z0, w0 * cmath.exp(rate * t) + drive * t * phi1(rate * t))
-    partial = 0j  # sum of tail_j z0^{j-k} (e^{j a t} - 1)/(j a)
+    partial = 0j  # sum of tail_j z0^{j-k} t phi1(j a t)
     for j in range(k, len(tail.coeffs)):
         c = tail.coeffs[j]
         if c == 0:

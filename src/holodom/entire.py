@@ -12,13 +12,17 @@ certificate JSON stable; the smart constructors Sum.of, Prod.of, Neg.of,
 Exp.of and PolyNode.of fold polynomial content so that symbolic work such
 as pushforwards keeps its trees small.
 
-ExpPoly is the separate quadrature-friendly class sum_j p_j(tau) e^(mu_j tau)
-with exact antiderivatives.
+The phi-type functions of exponential integrators live here too: phi1(x) =
+(e^x - 1)/x, and phi1_power_integral, the integral of (u·phi1(x u))^l over
+[0, 1], which the closed catalogue flows are written in.  Both stay accurate
+as x goes to 0.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 
 from .errors import DomainError
 from .poly import (Poly, poly_roots, series_add, series_div, series_exp,
@@ -458,102 +462,6 @@ def expr_from_json(data) -> EntireExpr:
     raise DomainError("unknown expression op %r" % (op,))
 
 
-# ---------------------------------------------------------------------------
-# exponential polynomials sum_j p_j(tau) exp(mu_j tau)
-
-_MU_TOL = 1e-9
-
-
-class ExpPoly:
-    """Finite sum of polynomial-times-exponential terms in one variable."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged = []
-        for poly, mu in terms:
-            poly = poly if isinstance(poly, Poly) else Poly(poly)
-            mu = complex(mu)
-            if poly.is_zero:
-                continue
-            for k, (p0, m0) in enumerate(merged):
-                if abs(mu - m0) <= _MU_TOL * (1.0 + abs(m0)):
-                    merged[k] = (p0 + poly, m0)
-                    break
-            else:
-                merged.append((poly, mu))
-        self.terms = tuple((p, m) for p, m in merged if not p.is_zero)
-
-    @classmethod
-    def constant(cls, c):
-        return cls([(Poly([c]), 0.0)])
-
-    def __call__(self, tau):
-        return sum(p(tau) * cmath.exp(m * tau) for p, m in self.terms)
-
-    def __add__(self, other):
-        return ExpPoly(self.terms + other.terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ExpPoly([(p * other, m) for p, m in self.terms])
-        out = []
-        for p1, m1 in self.terms:
-            for p2, m2 in other.terms:
-                out.append((p1 * p2, m1 + m2))
-        return ExpPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def deriv(self):
-        return ExpPoly([(p.deriv() + p * m, m) for p, m in self.terms])
-
-    def antideriv(self):
-        """An exact antiderivative (integration constant not normalized)."""
-        out = []
-        for p, m in self.terms:
-            if m == 0:
-                cs = [0j] + [c / (k + 1) for k, c in enumerate(p.coeffs)]
-                out.append((Poly(cs), 0.0))
-            else:
-                # repeated integration by parts: sum_j (-1)^j p^(j) / m^(j+1)
-                q = Poly()
-                d = p
-                sign = 1.0
-                power = m
-                while not d.is_zero:
-                    q = q + d * (sign / power)
-                    d = d.deriv()
-                    sign = -sign
-                    power *= m
-                out.append((q, m))
-        return ExpPoly(out)
-
-    def definite(self, tau):
-        """Integral from 0 to tau."""
-        af = self.antideriv()
-        return af(tau) - af(0.0)
-
-    def __repr__(self):
-        return "ExpPoly(%r)" % (list(self.terms),)
-
-
-def compose_poly_with_exps(coeffs, base_const, base_coef, mu):
-    """ExpPoly for P(base_const + base_coef * e^(mu tau)), P given ascending."""
-    base = ExpPoly([(Poly([base_const]), 0.0), (Poly([base_coef]), mu)])
-    acc = ExpPoly()
-    for c in reversed(list(coeffs)):
-        acc = acc * base + ExpPoly.constant(c)
-    return acc
-
-
 def phi1(x) -> complex:
     """(e^x - 1)/x, extended by 1 at 0; series path for |x| <= 5e-5."""
     x = complex(x)
@@ -564,7 +472,40 @@ def phi1(x) -> complex:
             acc += term
             term = term * x / (k + 1)
         return acc
+    if abs(x.real) > 700.0:
+        # e^x - 1 cannot cancel here, but sinh(x/2) overflows on the left
+        # and e^x on the right before e^x/x does
+        return cmath.exp(x - cmath.log(x)) - 1.0 / x
     # e^x - 1 as 2 e^(x/2) sinh(x/2): the plain difference cancels for
     # small |x|, costing up to 1e-12 relative just above the series cutoff
     half = 0.5 * x
     return 2.0 * cmath.exp(half) * cmath.sinh(half) / x
+
+
+def phi1_power_integral(l: int, x) -> complex:
+    """Integral of (u·phi1(x u))^l over u in [0, 1], so that the integral of
+    (s·phi1(a s))^l over s in [0, t] is t^(l+1)·phi1_power_integral(l, a t).
+
+    For |x| <= 1 the series l!·sum_n S(n, l)·x^(n-l)/((n+1)·n!) over the
+    Stirling numbers S of the second kind, which has no cancellation as x
+    goes to 0; above, the binomial expansion of (e^(x u) - 1)^l integrated
+    term by term, sum_j C(l, j)·(-1)^(l-j)·phi1(j x)/x^l.
+    """
+    x = complex(x)
+    if abs(x) > 1.0:
+        acc = sum(math.comb(l, j) * (-1) ** (l - j) * phi1(j * x)
+                  for j in range(l + 1))
+        return acc / x ** l
+    row = [1] + [0] * l  # S(n, k) for k = 0..l, advanced with n
+    n_fact = 1
+    acc, mass = 0j, 0.0
+    for n in itertools.count():
+        if n >= l:
+            term = (math.factorial(l) * row[l] / ((n + 1) * n_fact)
+                    * x ** (n - l))
+            acc += term
+            mass += abs(term)
+            if abs(term) <= 1e-17 * mass:
+                return acc
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, l + 1)]
+        n_fact *= n + 1

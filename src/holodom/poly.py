@@ -8,6 +8,7 @@ operands, so the routines are scale-free.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -176,20 +177,23 @@ def _coerce(x):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's algorithm, zero-threshold EPS_GCD relative."""
-    scale = max(a.norm(), b.norm())
-    if scale == 0.0:
+    """Monic gcd by Euclid's algorithm, zero threshold EPS_GCD relative.
+
+    Each operand is first scaled to a norm in [0.5, 1), so a polynomial that
+    is small against the other one is not taken for zero; the factors are
+    powers of two, so the scaling rounds nothing.
+    """
+    if max(a.norm(), b.norm()) == 0.0:
         raise DomainError("gcd of two zero polynomials")
-    tol = EPS_GCD * scale
-    a = a.trim(tol)
-    b = b.trim(tol)
+    a, b = [(p * math.ldexp(1.0, -math.frexp(p.norm())[1])).trim(EPS_GCD)
+            for p in (a, b)]
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
     while True:
         _, r = a.divmod(b)
-        r = r.trim(tol)
+        r = r.trim(EPS_GCD)
         if r.is_zero:
             return b.monic()
         a, b = b, r

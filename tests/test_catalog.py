@@ -1,6 +1,8 @@
 """Field catalog: validation, instantiation, conjugation, closed flows."""
 
 import cmath
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +12,12 @@ from holodom.catalog import (AffineFiberFamily, FamilyI, FamilyII, FamilyIII,
                              ScalingField, SuzukiForm1, SuzukiForm3,
                              SuzukiForm4, alpha_conjugate,
                              closed_flow_family, eigenratio, family_from_json,
-                             family_to_json, first_integral_check,
+                             first_integral_check,
                              instantiate_family, lbl_automorphism,
                              linear_pushforward, pole_graph_curve,
                              pushforward, tables_allclose, tangency_check)
 from holodom.entire import Const, PolyNode
-from holodom.errors import DomainError, NotHolomorphicError
+from holodom.errors import DomainError, HolodomError, NotHolomorphicError
 from holodom.gap import construct_gap
 from holodom.oracle import IntegrationSpec, integrate
 from holodom.poly import Poly, RationalFn
@@ -104,18 +106,29 @@ def test_scaling_field_constraints():
 # ---------------------------------------------------------------------------
 # JSON codecs
 
-def test_family_json_round_trips():
-    specs = [
-        FamilyI(1.0 + 0.5j, -0.25, Poly([2.0, 1.0j])),
-        FamilyII(0.5, 2, 3, Poly([1.0])),
-        FamilyIII(1.0, 2, Poly([0.0, 0.0, 0.7])),
-        FamilyIV(1.0, 1, 3, 2, Poly([0.0, 1.0])),
-        SuzukiForm3(1.0j, 2, 3),
-        ScalingField(2, 3),
-        AffineFiberFamily(2.0, Poly([3.0]), Poly([1.0, 1.0])),
+def test_family_json_decodes():
+    cases = [
+        ({"kind": "i", "a": [1.0, 0.5], "b": [-0.25, 0.0],
+          "multiplier": [[2.0, 0.0], [0.0, 1.0]]},
+         FamilyI(1.0 + 0.5j, -0.25, Poly([2.0, 1.0j]))),
+        ({"kind": "ii", "a": [0.5, 0.0], "m": 2, "n": 3,
+          "multiplier": [[1.0, 0.0]]},
+         FamilyII(0.5, 2, 3, Poly([1.0]))),
+        ({"kind": "iii", "a": [1.0, 0.0], "k": 2,
+          "tail": [[0.0, 0.0], [0.0, 0.0], [0.7, 0.0]]},
+         FamilyIII(1.0, 2, Poly([0.0, 0.0, 0.7]))),
+        ({"kind": "iv", "a": [1.0, 0.0], "k": 1, "m": 3, "n": 2,
+          "tail": [[0.0, 0.0], [1.0, 0.0]]},
+         FamilyIV(1.0, 1, 3, 2, Poly([0.0, 1.0]))),
+        ({"kind": "suzuki3", "lam": [0.0, 1.0], "m": 2, "n": 3},
+         SuzukiForm3(1.0j, 2, 3)),
+        ({"kind": "scaling", "r": 2, "s": 3}, ScalingField(2, 3)),
+        ({"kind": "affine_fiber", "lam": [2.0, 0.0], "a": [[3.0, 0.0]],
+          "c": [[1.0, 0.0], [1.0, 0.0]]},
+         AffineFiberFamily(2.0, Poly([3.0]), Poly([1.0, 1.0]))),
     ]
-    for spec in specs:
-        assert family_from_json(family_to_json(spec)) == spec
+    for doc, spec in cases:
+        assert family_from_json(doc) == spec
 
 
 def test_family_json_rejections():
@@ -306,6 +319,51 @@ def test_closed_flow_family_iii():
 def test_closed_flow_family_iii_frozen_base():
     _flow_matches_oracle(FamilyIII(0.0, 2, Poly([0.0, 0.0, 0.5])),
                          (0.8 - 0.3j, 0.6 + 0.2j), 0.5)
+
+
+@pytest.mark.parametrize("a", [10.0 ** -k for k in range(13)]
+                         + [0.0, 0.7 - 1.1j])
+def test_closed_flows_hold_as_the_rate_goes_to_zero(a):
+    # rates that approach 0 without reaching it: a closed form that divides
+    # by the rate loses every digit of family (i) with b = 1 here
+    t, p0 = 0.9 + 0.3j, (0.4 + 0.1j, 1.0 + 0.5j)
+    multiplier = Poly([0.3, 0.5, 0.2, 0.1])
+    for spec in (FamilyI(a, 1.0, multiplier), FamilyI(a, 0.0, multiplier),
+                 FamilyII(a, 2, 3, Poly([0.3, 0.5, 0.2])),
+                 FamilyIII(a, 2, Poly([0.0, 0.0, 0.5, 0.2, 0.1]))):
+        _flow_matches_oracle(spec, p0, t)
+
+
+def test_closed_flow_family_keeps_to_the_float_range():
+    # rates, coefficients, times and points of magnitude 10^-3 .. 10^3: a
+    # flow either comes back finite or raises a HolodomError
+    rng = random.Random(0)
+
+    def cx():
+        return cmath.rect(10.0 ** rng.uniform(-3, 3),
+                          rng.uniform(0, 2 * math.pi))
+
+    def poly(low=0):
+        return Poly([0j] * low + [cx() for _ in range(rng.randint(1, 3))])
+
+    returned = 0
+    for draw in range(400):
+        if draw % 3 == 0:
+            spec = FamilyI(cx(), cx(), poly())
+        elif draw % 3 == 1:
+            m, n = rng.choice(((1, 2), (2, 3), (3, 1)))
+            spec = FamilyII(cx(), m, n, poly())
+        else:
+            k = rng.randint(1, 2)
+            spec = FamilyIII(cx(), k, poly(k))
+        try:
+            z, w = closed_flow_family(spec, cx(), (cx(), cx()))
+        except HolodomError:
+            continue
+        assert cmath.isfinite(z) and cmath.isfinite(w), (draw, spec)
+        returned += 1
+    # most draws stay in range: the contract is not met by refusing them
+    assert returned > 200
 
 
 def test_closed_flow_rejects_other_kinds():

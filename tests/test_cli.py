@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from holodom.catalog import family_from_json, instantiate_family
 from holodom.cli import main
+from holodom.oracle import IntegrationSpec, integrate
 
 S_INV = '{"num":[[1,0]],"den":[[0,0],[1,0]]}'  # s = 1/z
 
@@ -139,6 +141,19 @@ def test_tangent_tangency_and_flow(capsys):
     doc = json.loads(out)
     assert doc["z"][0] == pytest.approx(math.exp(0.5))
     assert doc["w"][0] == pytest.approx(math.exp(0.5))
+
+
+def test_tangent_flow_at_a_small_rate_matches_the_oracle(capsys):
+    fam = ('{"kind":"i","a":[1e-4,0],"b":[1,0],'
+           '"multiplier":[[0.3,0],[0.5,0],[0.2,0],[0.1,0]]}')
+    code, out, _ = run(capsys, "tangent", "--family", fam, "--check", "flow",
+                       "--time", "0.9,0.3", "--point", "0.4,0.1", "1,0.5")
+    assert code == 0
+    w = complex(*json.loads(out)["w"])
+    res = integrate(instantiate_family(family_from_json(json.loads(fam))),
+                    (0.4 + 0.1j, 1.0 + 0.5j),
+                    IntegrationSpec(path=(0.9 + 0.3j,), rtol=1e-12, atol=1e-14))
+    assert abs(w - res.endpoint[1]) < 1e-8
 
 
 def test_tangent_eigenratio(capsys):

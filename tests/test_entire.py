@@ -1,4 +1,4 @@
-"""Entire-expression trees, removable quotients, exponential polynomials."""
+"""Entire-expression trees, removable quotients, phi-type functions."""
 
 import cmath
 import math
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holodom.entire
-from holodom.entire import (Const, Exp, ExpPoly, Neg, PolyNode, Prod,
-                            RemovableQuotient, Sum, Var,
-                            compose_poly_with_exps, expr_from_json, phi1)
+from holodom.entire import (Const, Exp, Neg, PolyNode, Prod, RemovableQuotient,
+                            Sum, Var, expr_from_json, phi1,
+                            phi1_power_integral)
 from holodom.errors import DomainError
 from holodom.poly import Poly, poly_roots
 
@@ -170,35 +170,6 @@ def test_removable_quotient_jet_at_root():
     assert jet[1] == pytest.approx(quot.deriv()(0.5))
 
 
-def test_exppoly_eval_and_merge():
-    f = ExpPoly([(Poly([1.0]), 2.0), (Poly([0.0, 1.0]), 2.0 + 1e-12)])
-    # near-equal exponents merged into one term
-    assert len(f.terms) == 1
-    assert f(0.5) == pytest.approx((1.0 + 0.5) * math.exp(1.0))
-
-
-def test_exppoly_deriv_antideriv_inverse():
-    f = ExpPoly([(Poly([1.0, 2.0]), -0.5), (Poly([0.5]), 0.0),
-                 (Poly([0.0, 0.0, 1.0]), 1.0j)])
-    g = f.antideriv().deriv()
-    for tau in (0.0, 1.0, -0.3 + 0.8j):
-        assert g(tau) == pytest.approx(f(tau), rel=1e-9, abs=1e-9)
-
-
-def test_exppoly_definite_integral():
-    f = ExpPoly([(Poly([1.0]), 1.0)])  # e^tau
-    assert f.definite(1.0) == pytest.approx(math.e - 1.0)
-
-
-def test_compose_poly_with_exps():
-    # P(w) = w^2 - 3 evaluated along w = 1 + 2 e^(0.5 tau)
-    coeffs = [-3.0, 0.0, 1.0]
-    f = compose_poly_with_exps(coeffs, 1.0, 2.0, 0.5)
-    for tau in (0.0, 0.7, 2.0 - 1.0j):
-        w = 1.0 + 2.0 * cmath.exp(0.5 * tau)
-        assert f(tau) == pytest.approx(w * w - 3.0, rel=1e-9)
-
-
 def _phi1_reference(x):
     # high-order series; truncation < |x|^12/13! (negligible for |x| <= 0.01)
     acc, term = 0j, 1.0 + 0j
@@ -227,6 +198,57 @@ def test_phi1_matches_mpmath(x):
         xm = mpmath.mpc(x)
         want = complex(mpmath.expm1(xm) / xm)
     assert abs(phi1(x) - want) <= 4 * math.ulp(abs(want))
+
+
+@pytest.mark.parametrize("x", [-1500.0, -2000.0 + 5.0j, -1e5 - 1e6j, 712.0,
+                               701.0 + 1e3j])
+def test_phi1_far_from_zero(x):
+    # sinh(x/2) overflows on the left, and e^x on the right before e^x/x
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = complex(mpmath.expm1(mpmath.mpc(x)) / x)
+    assert cmath.isclose(phi1(x), want, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-7, 0.3 - 0.4j, 0.99j, -0.99, 1.01,
+                               -1.01j, 0.8 + 0.8j, -3.0 + 2.0j, 6.0])
+def test_phi1_power_integral_matches_mpmath(x):
+    # series below |x| = 1, binomial sum of phi1 above
+    mpmath = pytest.importorskip("mpmath")
+    for l in range(7):
+        with mpmath.workdps(50):
+            xm = mpmath.mpc(x)
+
+            def integrand(u):
+                return (u if xm == 0 else mpmath.expm1(xm * u) / xm) ** l
+
+            want = complex(mpmath.quad(integrand, [0, 0.5, 1]))
+        assert abs(phi1_power_integral(l, x) - want) <= 5e-14 * abs(want), l
+
+
+def test_one_expm1_quotient():
+    # (e^x - 1)/x lives in entire.py only: no other module subtracts 1 from
+    # an exp(...) call or brings back an exponential-polynomial class
+    import ast
+    from pathlib import Path
+
+    import holodom
+
+    def is_exp_minus_one(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Call)
+                and (getattr(node.left.func, "id", None)
+                     or getattr(node.left.func, "attr", None)) == "exp"
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 1)
+
+    for path in sorted(Path(holodom.__file__).parent.glob("*.py")):
+        if path.name == "entire.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not is_exp_minus_one(node), (path.name, node.lineno)
+            assert not (isinstance(node, ast.ClassDef)
+                        and node.name == "ExpPoly"), path.name
 
 
 small_cx = st.complex_numbers(min_magnitude=0.0, max_magnitude=2.0,

@@ -78,6 +78,16 @@ def test_poly_gcd_of_shared_factor():
     assert abs(g.monic()(1.5)) < 1e-9
 
 
+def test_rational_keeps_a_numerator_small_against_its_denominator():
+    # the gcd threshold is relative to each operand, not to the larger one
+    s = RationalFn(Poly([0.0, 1e-12]), Poly([-0.25, 0.0, 1.0]))
+    assert s.num == Poly([0.0, 1e-12]) and s.den.degree == 2
+    cancelled = RationalFn(Poly.from_roots([0.5, 0.3]) * 1e-12,
+                           Poly.from_roots([0.5, 0.2]))
+    assert cancelled.den.degree == 1
+    assert cancelled(0.0) == pytest.approx(1e-12 * 0.3 / 0.2)
+
+
 def test_poly_json_round_trip():
     p = Poly([1.0 + 2.0j, 0.0, -0.5j])
     assert Poly.from_json(p.to_json()) == p
