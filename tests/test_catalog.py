@@ -1,6 +1,7 @@
 """Field catalog: validation, instantiation, conjugation, closed flows."""
 
 import cmath
+import json
 import math
 import random
 
@@ -106,7 +107,7 @@ def test_scaling_field_constraints():
 # ---------------------------------------------------------------------------
 # JSON codecs
 
-def test_family_json_decodes():
+def test_family_json_round_trips():
     cases = [
         ({"kind": "i", "a": [1.0, 0.5], "b": [-0.25, 0.0],
           "multiplier": [[2.0, 0.0], [0.0, 1.0]]},
@@ -128,7 +129,7 @@ def test_family_json_decodes():
          AffineFiberFamily(2.0, Poly([3.0]), Poly([1.0, 1.0]))),
     ]
     for doc, spec in cases:
-        assert family_from_json(doc) == spec
+        assert family_from_json(json.loads(json.dumps(doc))) == spec
 
 
 def test_family_json_rejections():
