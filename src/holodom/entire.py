@@ -472,10 +472,14 @@ def phi1(x) -> complex:
             acc += term
             term = term * x / (k + 1)
         return acc
-    if abs(x.real) > 700.0:
-        # e^x - 1 cannot cancel here, but sinh(x/2) overflows on the left
-        # and e^x on the right before e^x/x does
-        return cmath.exp(x - cmath.log(x)) - 1.0 / x
+    if x.real > 700.0:
+        # e^x overflows before e^x/x does; e^(x/2)·(e^(x/2)/x) keeps the
+        # argument exact
+        half = cmath.exp(0.5 * x)
+        return half * (half / x) - 1.0 / x
+    if x.real < -700.0:
+        # sinh(x/2) overflows here, and e^x - 1 cannot cancel
+        return (cmath.exp(x) - 1.0) / x
     # e^x - 1 as 2 e^(x/2) sinh(x/2): the plain difference cancels for
     # small |x|, costing up to 1e-12 relative just above the series cutoff
     half = 0.5 * x
@@ -492,7 +496,7 @@ def phi1_power_integral(l: int, x) -> complex:
     term by term, sum_j C(l, j)·(-1)^(l-j)·phi1(j x)/x^l.
     """
     x = complex(x)
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:  # NaN included: the series would never stop
         acc = sum(math.comb(l, j) * (-1) ** (l - j) * phi1(j * x)
                   for j in range(l + 1))
         return acc / x ** l

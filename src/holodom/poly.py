@@ -176,6 +176,12 @@ def _coerce(x):
     return Poly([x])
 
 
+def _scaled(p: Poly, e: int) -> Poly:
+    """p·2^e, each part scaled on its own so that no separate 2^e overflows."""
+    return Poly([complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                 for c in p.coeffs])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm, zero threshold EPS_GCD relative.
 
@@ -185,7 +191,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """
     if max(a.norm(), b.norm()) == 0.0:
         raise DomainError("gcd of two zero polynomials")
-    a, b = [(p * math.ldexp(1.0, -math.frexp(p.norm())[1])).trim(EPS_GCD)
+    a, b = [_scaled(p, -math.frexp(p.norm())[1]).trim(EPS_GCD)
             for p in (a, b)]
     if a.is_zero:
         return b.monic()

@@ -18,7 +18,8 @@ from holodom.catalog import (AffineFiberFamily, FamilyI, FamilyII, FamilyIII,
                              linear_pushforward, pole_graph_curve,
                              pushforward, tables_allclose, tangency_check)
 from holodom.entire import Const, PolyNode
-from holodom.errors import DomainError, HolodomError, NotHolomorphicError
+from holodom.errors import (DomainError, HolodomError, NotHolomorphicError,
+                            NumericalError)
 from holodom.gap import construct_gap
 from holodom.oracle import IntegrationSpec, integrate
 from holodom.poly import Poly, RationalFn
@@ -365,6 +366,19 @@ def test_closed_flow_family_keeps_to_the_float_range():
         returned += 1
     # most draws stay in range: the contract is not met by refusing them
     assert returned > 200
+
+
+@pytest.mark.parametrize("spec", [
+    FamilyI(1.0, 1.0, Poly([0.3])),
+    FamilyI(float("nan"), 1.0, Poly([0.3, 0.5])),
+    FamilyII(0.5, 2, 3, Poly([0.3, 0.5])),
+    FamilyIII(0.5, 2, Poly([0.0, 0.0, 0.5])),
+])
+def test_closed_flow_family_refuses_nan(spec):
+    # a NaN rate or time ends in NumericalError, not in a series that never
+    # reaches its stopping test
+    with pytest.raises(NumericalError):
+        closed_flow_family(spec, complex("nan"), (0.4 + 0.1j, 1.0 + 0.5j))
 
 
 def test_closed_flow_rejects_other_kinds():

@@ -86,6 +86,9 @@ def test_rational_keeps_a_numerator_small_against_its_denominator():
                            Poly.from_roots([0.5, 0.2]))
     assert cancelled.den.degree == 1
     assert cancelled(0.0) == pytest.approx(1e-12 * 0.3 / 0.2)
+    # a subnormal numerator scales up without a separate 2^e overflowing
+    tiny = RationalFn(Poly([1e-310]), Poly([1.0, 1.0]))
+    assert tiny.num == Poly([1e-310]) and tiny.den == Poly([1.0, 1.0])
 
 
 def test_poly_json_round_trip():
