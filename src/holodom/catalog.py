@@ -2,16 +2,17 @@
 
 Plane fields P(z,w) d/dz + Q(z,w) d/dw are stored with entire-expression
 coefficients per power of w.  The module provides the parameterized families
-with their validity checks, fiber automorphisms and pushforwards, the shear
-conjugation over Laurent tables, tangency and eigenvalue-ratio certificates,
-and closed-form flows of families (i)-(iii) written in phi-type integrals.
+with their validity checks and JSON decoding, fiber automorphisms and the
+pushforward along them, the shear conjugation over monomial tables, tangency
+and eigenvalue-ratio certificates, and closed-form flows of families (i)-(iii)
+written in phi-type integrals.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .sampling import rng_from_seed, sample_annulus, sample_disk
 CANCEL_TOL = 1e-12  # relative residue allowed when negative powers must cancel
 RATIO_MAX_DEN = 64  # rational reconstruction: denominator bound
 RATIO_TOL = 1e-9    # rational reconstruction: acceptance tolerance
+TABLE_TOL = 1e-12   # tables_allclose: coefficient gap relative to the largest
 TANGENCY_TOL = 1e-9
 
 
@@ -93,9 +95,6 @@ class BivarExpr:
             acc = acc.mul(lin) + BivarExpr([c])
         return acc
 
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
     def __repr__(self):
         return "BivarExpr(%r)" % (list(self.coeffs),)
 
@@ -133,14 +132,11 @@ class PlaneField:
             tables.append(table)
         return tables[0], tables[1]
 
-    def to_json(self):
-        return {"p": self.p.to_json(), "q": self.q.to_json()}
-
     def __repr__(self):
         return "PlaneField(%r, %r)" % (self.p, self.q)
 
 
-def tables_allclose(x: PlaneField, y: PlaneField, tol: float = 1e-12) -> bool:
+def tables_allclose(x: PlaneField, y: PlaneField) -> bool:
     """Coefficient-wise comparison of two polynomial plane fields."""
     xp, xq = x.poly_tables()
     yp, yq = y.poly_tables()
@@ -148,7 +144,7 @@ def tables_allclose(x: PlaneField, y: PlaneField, tol: float = 1e-12) -> bool:
         scale = max([abs(c) for c in a.values()] +
                     [abs(c) for c in b.values()] + [1.0])
         for key in set(a) | set(b):
-            if abs(a.get(key, 0j) - b.get(key, 0j)) > tol * scale:
+            if abs(a.get(key, 0j) - b.get(key, 0j)) > TABLE_TOL * scale:
                 return False
     return True
 
@@ -174,15 +170,6 @@ class FiberAutomorphism:
         return FiberAutomorphism(
             gamma, Neg.of(Prod.of(Exp.of(gamma), self.delta)))
 
-    def compose(self, other: "FiberAutomorphism") -> "FiberAutomorphism":
-        """self after other."""
-        return FiberAutomorphism(
-            Sum.of(self.gamma, other.gamma),
-            Sum.of(Prod.of(Exp.of(self.gamma), other.delta), self.delta))
-
-    def to_json(self):
-        return {"gamma": self.gamma.to_json(), "delta": self.delta.to_json()}
-
 
 def pushforward(phi: FiberAutomorphism, field: PlaneField) -> PlaneField:
     """Conjugated field phi_* X, computed symbolically on coefficients.
@@ -202,64 +189,8 @@ def pushforward(phi: FiberAutomorphism, field: PlaneField) -> PlaneField:
     return PlaneField(p_new, lin.mul(p_new) + q_sub.mul_expr(Exp.of(phi.gamma)))
 
 
-def linear_pushforward(matrix, field: PlaneField) -> PlaneField:
-    """Conjugate a polynomial plane field by an invertible linear map of C^2."""
-    (m11, m12), (m21, m22) = [[complex(v) for v in row] for row in matrix]
-    det = m11 * m22 - m12 * m21
-    scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
-    if abs(det) <= 1e-12 * scale * scale:
-        raise DomainError("matrix is singular")
-    inv_rows = ((m22 / det, -m12 / det), (-m21 / det, m11 / det))
-    p_table, q_table = field.poly_tables()
-
-    def subst(table):
-        out = {}
-        row_z = {(1, 0): inv_rows[0][0], (0, 1): inv_rows[0][1]}
-        row_w = {(1, 0): inv_rows[1][0], (0, 1): inv_rows[1][1]}
-        for (i, j), c in table.items():
-            term = _lb_scale(_lb_mul(_lb_pow(row_z, i), _lb_pow(row_w, j)), c)
-            out = _lb_add(out, term)
-        return out
-
-    ps, qs = subst(p_table), subst(q_table)
-    new_p = _lb_add(_lb_scale(ps, m11), _lb_scale(qs, m12))
-    new_q = _lb_add(_lb_scale(ps, m21), _lb_scale(qs, m22))
-    return PlaneField(_table_to_bivar(new_p), _table_to_bivar(new_q))
-
-
 # ---------------------------------------------------------------------------
-# Laurent tables {(z_exp, w_exp): coeff}; z_exp may be negative mid-computation
-
-def _lb_add(a, b):
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0j) + c
-    return out
-
-
-def _lb_scale(a, c):
-    return {key: v * c for key, v in a.items()}
-
-
-def _lb_mul(a, b):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
-
-
-def _lb_pow(a, n):
-    out = {(0, 0): 1.0 + 0j}
-    for _ in range(n):
-        out = _lb_mul(out, a)
-    return out
-
-
-def _lb_shift_z(a, dz):
-    return {(i + dz, j): c for (i, j), c in a.items()}
-
+# monomial tables {(z_exp, w_exp): coeff}; z_exp may be negative mid-shear
 
 def _shear_substitute(table, k):
     """Substitute t = w - z^{-k} into a table over (x, t) monomials."""
@@ -491,30 +422,25 @@ def _require_low_zeros(poly: Poly, k: int, label: str):
 
 
 _FAMILY_KINDS = {
-    "i": (FamilyI, (("a", "cx"), ("b", "cx"), ("multiplier", "poly"))),
-    "ii": (FamilyII, (("a", "cx"), ("m", "int"), ("n", "int"),
-                      ("multiplier", "poly"))),
-    "iii": (FamilyIII, (("a", "cx"), ("k", "int"), ("tail", "poly"))),
-    "iv": (FamilyIV, (("a", "cx"), ("k", "int"), ("m", "int"), ("n", "int"),
-                      ("tail", "poly"))),
-    "suzuki1": (SuzukiForm1, (("a", "rat"),)),
-    "suzuki2": (SuzukiForm2, (("g", "rat"), ("gs", "rat"))),
-    "suzuki3": (SuzukiForm3, (("lam", "cx"), ("m", "int"), ("n", "int"))),
-    "suzuki4": (SuzukiForm4, (("m", "int"), ("n", "int"), ("l", "int"),
-                              ("p", "poly"), ("gamma", "poly"))),
-    "affine_fiber": (AffineFiberFamily, (("lam", "cx"), ("a", "poly"),
-                                         ("c", "poly"))),
-    "monomial_flow": (MonomialFlowFamily, (("m", "int"), ("n", "int"),
-                                           ("f", "poly"), ("alpha", "cx"),
-                                           ("beta", "cx"))),
-    "scaling": (ScalingField, (("r", "int"), ("s", "int"))),
+    "i": FamilyI,
+    "ii": FamilyII,
+    "iii": FamilyIII,
+    "iv": FamilyIV,
+    "suzuki1": SuzukiForm1,
+    "suzuki2": SuzukiForm2,
+    "suzuki3": SuzukiForm3,
+    "suzuki4": SuzukiForm4,
+    "affine_fiber": AffineFiberFamily,
+    "monomial_flow": MonomialFlowFamily,
+    "scaling": ScalingField,
 }
 
+# keyed by the field annotations, which are strings under PEP 563
 _FIELD_DECODERS = {
-    "cx": lambda v: complex(v[0], v[1]),
+    "complex": lambda v: complex(v[0], v[1]),
     "int": int,
-    "poly": Poly.from_json,
-    "rat": RationalFn.from_json,
+    "Poly": Poly.from_json,
+    "RationalFn": RationalFn.from_json,
 }
 
 
@@ -524,18 +450,18 @@ def family_from_json(data):
     functions are {"num", "den"}.  The decoded spec is validated."""
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("family document needs a 'kind' entry")
-    entry = _FAMILY_KINDS.get(data["kind"])
-    if entry is None:
+    cls = _FAMILY_KINDS.get(data["kind"])
+    if cls is None:
         raise DomainError("unknown family kind %r (expected one of %s)"
                           % (data["kind"], ", ".join(sorted(_FAMILY_KINDS))))
-    cls, fields = entry
     kwargs = {}
-    for name, typ in fields:
+    for field in fields(cls):
+        name = field.name
         if name not in data:
             raise DomainError("family %r is missing the %r parameter"
                               % (data["kind"], name))
         try:
-            kwargs[name] = _FIELD_DECODERS[typ](data[name])
+            kwargs[name] = _FIELD_DECODERS[field.type](data[name])
         except (TypeError, ValueError, IndexError, KeyError):
             raise DomainError("family parameter %r is malformed" % (name,))
     spec = cls(**kwargs)
@@ -631,27 +557,31 @@ def _rational_as_expr(f: RationalFn) -> EntireExpr:
     return PolyNode.of(f.num * (1.0 / f.den.coeffs[0]))
 
 
+def _monomial(c, k: int) -> EntireExpr:
+    """c·z^k."""
+    return PolyNode.of(Poly([0.0] * k + [c]))
+
+
 def _instantiate_suzuki4(spec: SuzukiForm4) -> PlaneField:
-    base = _lb_add({(spec.l, 1): 1.0 + 0j},
-                   {(i, 0): c for i, c in enumerate(spec.p.coeffs)})
-    t_tab = _lb_mul({(spec.m, 0): 1.0 + 0j}, _lb_pow(base, spec.n))
-    gamma_tab = {}
-    power = {(0, 0): 1.0 + 0j}
+    # gamma(t)/z^l = sum_j gamma_j z^(mj-l) (z^l w + p)^(nj); validation
+    # makes mj - l >= 0 wherever gamma_j != 0, so no power of z is negative
+    m, n, l = spec.m, spec.n, spec.l
+    base = BivarExpr([PolyNode.of(spec.p), _monomial(1.0, l)])
+    base_n = BivarExpr([Const(1)])
+    for _ in range(n):
+        base_n = base_n.mul(base)
+    prefactor = BivarExpr()
+    power = BivarExpr([Const(1)])  # base^(nj)
     for j, c in enumerate(spec.gamma.coeffs):
         if j:
-            power = _lb_mul(power, t_tab)
+            power = power.mul(base_n)
         if c != 0:
-            gamma_tab = _lb_add(gamma_tab, _lb_scale(power, c))
-    p_tab = _lb_shift_z(_lb_scale(gamma_tab, spec.n), 1)
-    bracket = {(spec.l, 1): complex(spec.m + spec.n * spec.l)}
-    bracket = _lb_add(bracket, {(i, 0): spec.m * c
-                                for i, c in enumerate(spec.p.coeffs)})
-    dp = spec.p.deriv()
-    bracket = _lb_add(bracket, {(i + 1, 0): spec.n * c
-                                for i, c in enumerate(dp.coeffs)})
-    q_tab = _lb_shift_z(_lb_scale(_lb_mul(gamma_tab, bracket), -1.0), -spec.l)
-    q_tab = _require_holomorphic(q_tab, "normal form with meromorphic prefactor")
-    return PlaneField(_table_to_bivar(p_tab), _table_to_bivar(q_tab))
+            prefactor = prefactor + power.mul_expr(_monomial(c, m * j - l))
+    # (m+n·l) z^l w + m·p + n·z·p'
+    low = spec.p * m + Poly([0.0, n]) * spec.p.deriv()
+    bracket = BivarExpr([PolyNode.of(low), _monomial(m + n * l, l)])
+    return PlaneField(prefactor.mul_expr(_monomial(n, l + 1)),
+                      -prefactor.mul(bracket))
 
 
 def alpha_conjugate(spec, k: int) -> PlaneField:
@@ -746,7 +676,7 @@ class TangencyReport:
 
 
 def tangency_check(field: PlaneField, curve, n_samples: int = 50,
-                   seed: int = 0, tol: float = TANGENCY_TOL) -> TangencyReport:
+                   seed: int = 0) -> TangencyReport:
     """Max normalized |dF(X)| over curve samples; tangency means it stays at
     rounding level."""
     rng = rng_from_seed(seed)
@@ -760,7 +690,7 @@ def tangency_check(field: PlaneField, curve, n_samples: int = 50,
         worst = max(worst, abs(deriv) / scale)
         fval = abs(curve.defining(z, w))
         on_curve = max(on_curve, fval / max(1.0, abs(fz) + abs(fw)))
-    return TangencyReport(worst, on_curve, n_samples, worst < tol)
+    return TangencyReport(worst, on_curve, n_samples, worst < TANGENCY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -785,21 +715,29 @@ class EigenratioResult:
                 "kind": self.kind.value}
 
 
-def rational_reconstruct(x: float, max_den: int = RATIO_MAX_DEN,
-                         tol: float = RATIO_TOL):
-    """Nearest fraction with denominator <= max_den, or None if the best one
-    misses x by more than tol (relative)."""
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(x - frac) <= tol * max(1.0, abs(x)):
+def rational_reconstruct(x: float):
+    """Nearest fraction with denominator <= RATIO_MAX_DEN, or None if the best
+    one misses x by more than RATIO_TOL (relative)."""
+    frac = Fraction(x).limit_denominator(RATIO_MAX_DEN)
+    if abs(x - frac) <= RATIO_TOL * max(1.0, abs(x)):
         return frac
     return None
 
 
-def eigenratio(field: PlaneField, p, max_den: int = RATIO_MAX_DEN,
-               tol: float = RATIO_TOL) -> EigenratioResult:
-    """Ratio of the linearization eigenvalues at a zero p of the field,
-    canonicalized to |ratio| <= 1 (ties broken toward Im >= 0), plus its
-    trajectory-type classification."""
+def canonical_ratio(x) -> complex:
+    """x or 1/x, whichever has modulus <= 1; on the unit circle (within
+    1e-12) the one with Im >= 0."""
+    x = complex(x)
+    if abs(x) > 1.0 + 1e-12:
+        return 1.0 / x
+    if abs(abs(x) - 1.0) <= 1e-12 and x.imag < 0:
+        return 1.0 / x
+    return x
+
+
+def eigenratio(field: PlaneField, p) -> EigenratioResult:
+    """Ratio of the linearization eigenvalues at a zero p of the field, put
+    in canonical_ratio form, plus its trajectory-type classification."""
     z, w = complex(p[0]), complex(p[1])
     jac = field.jacobian(z, w)
     jnorm = max(abs(jac[0][0]), abs(jac[0][1]), abs(jac[1][0]),
@@ -814,15 +752,11 @@ def eigenratio(field: PlaneField, p, max_den: int = RATIO_MAX_DEN,
     eig2 = (tr - disc) / 2.0
     if min(abs(eig1), abs(eig2)) <= 1e-12 * jnorm:
         raise DomainError("degenerate linearization: zero eigenvalue")
-    ratio = eig1 / eig2
-    if abs(ratio) > 1.0 + 1e-12:
-        ratio = 1.0 / ratio
-    elif abs(abs(ratio) - 1.0) <= 1e-12 and ratio.imag < 0:
-        ratio = 1.0 / ratio
-    if abs(ratio.imag) > tol * (1.0 + abs(ratio)):
+    ratio = canonical_ratio(eig1 / eig2)
+    if abs(ratio.imag) > RATIO_TOL * (1.0 + abs(ratio)):
         kind = RatioClass.NON_REAL_TYPE_C
     else:
-        frac = rational_reconstruct(ratio.real, max_den, tol)
+        frac = rational_reconstruct(ratio.real)
         if frac is None:
             kind = RatioClass.IRRATIONAL_REAL_TYPE_C
         elif frac > 0:
@@ -923,17 +857,10 @@ class DriftReport:
     n_samples: int
     passed: bool
 
-    def to_json(self):
-        return {"max_drift": self.max_drift,
-                "max_oracle_drift": self.max_oracle_drift,
-                "n_samples": self.n_samples,
-                "passed": self.passed}
 
-
-def first_integral_check(spec: ScalingField, starts, times,
-                         use_oracle: bool = True, rtol: float = 1e-12,
-                         tol: float = 1e-8) -> DriftReport:
-    """Relative drift of y^r/x^s along the flow of r·x d/dx + s·y d/dy."""
+def first_integral_check(spec: ScalingField, starts, times) -> DriftReport:
+    """Relative drift of y^r/x^s along the flow of r·x d/dx + s·y d/dy, in
+    closed form and through the oracle at rtol 1e-12; passes below 1e-8."""
     from .oracle import IntegrationSpec, integrate
 
     spec.validate()
@@ -953,12 +880,10 @@ def first_integral_check(spec: ScalingField, starts, times,
             y1 = y0 * cmath.exp(spec.s * t)
             drift = max(drift, abs(y1 ** spec.r / x1 ** spec.s - level) / ref)
             count += 1
-            if use_oracle:
-                res = integrate(field, (x0, y0),
-                                IntegrationSpec(path=(t,), rtol=rtol))
-                xo, yo = res.endpoint
-                oracle_drift = max(oracle_drift,
-                                   abs(yo ** spec.r / xo ** spec.s - level)
-                                   / ref)
+            res = integrate(field, (x0, y0),
+                            IntegrationSpec(path=(t,), rtol=1e-12))
+            xo, yo = res.endpoint
+            oracle_drift = max(oracle_drift,
+                               abs(yo ** spec.r / xo ** spec.s - level) / ref)
     worst = max(drift, oracle_drift)
-    return DriftReport(drift, oracle_drift, count, worst < tol)
+    return DriftReport(drift, oracle_drift, count, worst < 1e-8)

@@ -104,8 +104,3 @@ class CuspCurve:
         if x == 0 and y == 0:
             return True
         return abs(x * y * (y ** self.r - self.a * x ** self.s)) > 0.0
-
-    def to_json(self):
-        p, q = self.pq
-        return {"r": self.r, "s": self.s, "a": [self.a.real, self.a.imag],
-                "p": p, "q": q}

@@ -492,14 +492,19 @@ def phi1_power_integral(l: int, x) -> complex:
 
     For |x| <= 1 the series l!·sum_n S(n, l)·x^(n-l)/((n+1)·n!) over the
     Stirling numbers S of the second kind, which has no cancellation as x
-    goes to 0; above, the binomial expansion of (e^(x u) - 1)^l integrated
-    term by term, sum_j C(l, j)·(-1)^(l-j)·phi1(j x)/x^l.
+    goes to 0.  Above, the recurrence J_0 = 1, J_k = (phi1(x)^k/k - J_(k-1))/x,
+    from d(E^k)/du = k·E^(k-1)·(1 + x E) with E = u·phi1(x u); each step
+    divides the error by |x| > 1, so it is stable there.  phi1(x)^k is a
+    running product, so leaving the float range gives inf, not OverflowError.
     """
     x = complex(x)
     if not abs(x) <= 1.0:  # NaN included: the series would never stop
-        acc = sum(math.comb(l, j) * (-1) ** (l - j) * phi1(j * x)
-                  for j in range(l + 1))
-        return acc / x ** l
+        e1 = phi1(x)
+        e1_k, acc = 1.0 + 0j, 1.0 + 0j
+        for k in range(1, l + 1):
+            e1_k *= e1
+            acc = (e1_k / k - acc) / x
+        return acc
     row = [1] + [0] * l  # S(n, k) for k = 0..l, advanced with n
     n_fact = 1
     acc, mass = 0j, 0.0

@@ -41,8 +41,8 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        p = cls([leading])
+    def from_roots(cls, roots):
+        p = cls.one()
         for r in roots:
             p = p * cls([-r, 1.0])
         return p

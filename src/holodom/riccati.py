@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateFiberError, DomainError
-from .entire import Const, EntireExpr, Neg, PolyNode, Prod, Sum
-from .gap import GapCertificate
+from .entire import Const, EntireExpr, PolyNode
 from .poly import POLE, Poly, RationalFn
 
 _ZERO_TOL = 1e-12   # coefficient considered zero, relative to the fiber triple
@@ -122,9 +121,6 @@ class DoubleSection:
         av, bv, cv = self.coefficients(z)
         return (av * w + bv) * w + cv
 
-    def to_json(self):
-        return {"a": self.a.to_json(), "b": self.b.to_json(), "c": self.c.to_json()}
-
 
 def _mobius_flow(w1, w2, lam, t, w: SpherePoint) -> SpherePoint:
     """Flow with distinct finite fixed points w1, w2 and multiplier e^(lam t)."""
@@ -148,10 +144,6 @@ class RiccatiField:
     def __init__(self, section: DoubleSection, u: EntireExpr | None = None):
         self.section = section
         self.u = u if u is not None else Const(0)
-
-    def eval_w(self, z, w):
-        """dw/dt in the finite chart."""
-        return cmath.exp(self.u(z)) * self.section.eval(z, w)
 
     def eval_v(self, z, v):
         """dv/dt in the v = 1/w chart: -e^u (a + b v + c v^2)."""
@@ -210,10 +202,6 @@ class RiccatiField:
             return kappa * bv
         return kappa * av * (p1.value - p2.value)
 
-    def callback_w(self):
-        """(z, w) -> (0, dw) for the oracle in the finite chart."""
-        return lambda z, w: (0j, self.eval_w(z, w))
-
     def callback_v(self):
         """(z, v) -> (0, dv) for the oracle in the 1/w chart."""
         return lambda z, v: (0j, self.eval_v(z, v))
@@ -243,9 +231,6 @@ class Section:
         if val is POLE:
             return INF
         return SpherePoint.finite(val)
-
-    def to_json(self):
-        return "inf" if self.infinite else self.rational.to_json()
 
 
 def default_section(section: DoubleSection) -> Section | None:
@@ -305,29 +290,3 @@ def dominating_map_g(field: RiccatiField, sigma: Section, z, t) -> SpherePoint:
         raise DomainError("section touches the double section over z=%r" % (z,))
     return field.flow(t, z, start)
 
-
-def riccati_from_gap_pair(cert: GapCertificate, s_hat: RationalFn,
-                          check_samples: int = 100, seed: int = 0) -> RiccatiField:
-    """Field q1hat (w - h)(w - s_hat) d/dw with entire coefficients.
-
-    h is the gap section of cert and s_hat = qhat/q1hat a second rational
-    graph; the expanded coefficients (a, b, c) = (q1hat, -(q1hat h + qhat),
-    qhat h) are entire because q1hat clears the s_hat denominator.  The
-    graphs of h and s_hat must stay apart (sampled precondition).
-    """
-    import numpy as np
-    from .sampling import sample_disk
-
-    qhat, q1hat = s_hat.num, s_hat.den
-    if check_samples:
-        rng = np.random.default_rng(seed)
-        for z in sample_disk(rng, check_samples, 0j, 3.0):
-            sv = s_hat(z)
-            if sv is POLE:
-                continue
-            if abs(cert.h(z) - sv) <= 1e-12 * (1.0 + abs(sv)):
-                raise DomainError("graph(s_hat) touches graph(h) near z=%r" % (z,))
-    a = PolyNode(q1hat)
-    b = Neg(Sum([Prod([PolyNode(q1hat), cert.h]), PolyNode(qhat)]))
-    c = Prod([PolyNode(qhat), cert.h])
-    return RiccatiField(DoubleSection(a, b, c))

@@ -20,6 +20,7 @@ from .catalog import (
     GraphCurve,
     ScalingField,
     alpha_conjugate,
+    canonical_ratio,
     first_integral_check,
     instantiate_family,
     lbl_automorphism,
@@ -403,15 +404,6 @@ def double_section_flow(seed=0) -> CriterionReport:
 # ---------------------------------------------------------------------------
 # criterion 8: catalog tangency, eigenvalue ratios, shear conjugation
 
-def _canonical_ratio(x):
-    x = complex(x)
-    if abs(x) > 1.0 + 1e-12:
-        x = 1.0 / x
-    if abs(abs(x) - 1.0) <= 1e-12 and x.imag < 0:
-        x = 1.0 / x
-    return x
-
-
 _PULLBACK_INSTANCES = (
     (FamilyIII(1.0, 1, Poly([0.0, 0.6])), Poly([1.0, 0.2])),
     (FamilyIII(2.0, 1, Poly([0.0, -0.4, 0.3])), Poly([0.8, -0.3])),
@@ -445,13 +437,13 @@ def catalog_tangency_and_ratios(seed=0) -> CriterionReport:
 
     ratio_cases = [
         (FamilyI(2.0, 0.0, Poly([3.0, 0.5])), (0j, 0j),
-         _canonical_ratio(2.0 / 3.0)),
+         canonical_ratio(2.0 / 3.0)),
         (FamilyII(1.0, 2, 3, Poly([1.0, 0.25])), (0j, 0j),
-         _canonical_ratio(3.0 / (1.0 - 2.0))),
+         canonical_ratio(3.0 / (1.0 - 2.0))),
         (FamilyIII(1.0, 2, Poly([0.0, 0.0, 0.7])), (0j, -0.35 + 0j),
-         _canonical_ratio(-1.0 / 2.0)),
+         canonical_ratio(-1.0 / 2.0)),
         (FamilyIV(1.0, 1, 3, 2, Poly([0.0, 1.0])), (0j, 0.5 + 0j),
-         _canonical_ratio(-1.0)),
+         canonical_ratio(-1.0)),
     ]
     worst_ratio = 0.0
     kinds = []

@@ -12,12 +12,12 @@ from holodom.catalog import (AffineFiberFamily, FamilyI, FamilyII, FamilyIII,
                              FamilyIV, FiberAutomorphism, MonomialFlowFamily,
                              ScalingField, SuzukiForm1, SuzukiForm3,
                              SuzukiForm4, alpha_conjugate,
-                             closed_flow_family, eigenratio, family_from_json,
-                             first_integral_check,
+                             canonical_ratio, closed_flow_family, eigenratio,
+                             family_from_json, first_integral_check,
                              instantiate_family, lbl_automorphism,
-                             linear_pushforward, pole_graph_curve,
-                             pushforward, tables_allclose, tangency_check)
-from holodom.entire import Const, PolyNode
+                             pole_graph_curve, pushforward, tables_allclose,
+                             tangency_check)
+from holodom.entire import PolyNode
 from holodom.errors import (DomainError, HolodomError, NotHolomorphicError,
                             NumericalError)
 from holodom.gap import construct_gap
@@ -174,10 +174,17 @@ def test_suzuki1_with_poles_is_catalog_only():
 
 
 def test_suzuki4_instantiates_holomorphically():
-    spec = SuzukiForm4(2, 1, 2, Poly([1.0]), Poly([0.0, 1.0]))
-    field = instantiate_family(spec)
-    p, q = field(0.3 + 0.1j, -0.7)
-    assert cmath.isfinite(p) and cmath.isfinite(q)
+    # the prefactor gamma(t)/z^l cancels against z^l exactly; tables are
+    # {(z power, w power): coefficient}
+    field = instantiate_family(
+        SuzukiForm4(2, 1, 2, Poly([1.0]), Poly([0.0, 1.0])))
+    assert field.poly_tables() == ({(3, 0): 1, (5, 1): 1},
+                                   {(0, 0): -2, (2, 1): -6, (4, 2): -4})
+    field = instantiate_family(
+        SuzukiForm4(1, 2, 1, Poly([0.5]), Poly([0.0, 1.0])))
+    assert field.poly_tables() == (
+        {(2, 0): 0.5, (3, 1): 2, (4, 2): 2},
+        {(0, 0): -0.125, (1, 1): -1.25, (2, 2): -3.5, (3, 3): -3})
 
 
 def test_family_iii_tangent_to_pole_graph():
@@ -216,6 +223,38 @@ def test_eigenratio_rejects_regular_point():
     field = instantiate_family(ScalingField(2, 3))
     with pytest.raises(DomainError):
         eigenratio(field, (1.0, 1.0))
+
+
+nonzero_cx = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                                allow_nan=False, allow_infinity=False)
+
+
+@given(nonzero_cx)
+@settings(max_examples=200, deadline=None)
+def test_canonical_ratio_picks_x_or_its_inverse(x):
+    r = canonical_ratio(x)
+    assert r == x or r == 1.0 / x
+    assert abs(r) <= 1.0 + 1e-12
+    if abs(abs(x) - 1.0) > 1e-9:
+        assert cmath.isclose(canonical_ratio(1.0 / x), r, rel_tol=1e-14)
+
+
+eigenvalue = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                allow_nan=False, allow_infinity=False)
+
+
+@given(eigenvalue, eigenvalue)
+@settings(max_examples=60, deadline=None)
+def test_eigenratio_ignores_the_eigenvalue_order(lam1, lam2):
+    # lam1·x d/dx + lam2·y d/dy is family (i) with b = 0; away from
+    # |lam1| = |lam2| the quadratic formula keeps the ratio to ~1e-13
+    if abs(abs(lam1 / lam2) - 1.0) <= 0.05:
+        return
+    want = canonical_ratio(lam1 / lam2)
+    for a, c in ((lam1, lam2), (lam2, lam1)):
+        res = eigenratio(instantiate_family(FamilyI(a, 0.0, Poly([c]))),
+                         (0j, 0j))
+        assert cmath.isclose(res.ratio, want, rel_tol=1e-10)
 
 
 def test_eigenratio_classification():
@@ -264,23 +303,10 @@ def test_pushforward_transports_trajectories():
 def test_fiber_automorphism_inverse():
     phi = FiberAutomorphism(PolyNode(Poly([0.1, -0.2])),
                             PolyNode(Poly([1.0, 0.5])))
-    both = phi.compose(phi.inverse())
     z, w = 0.7 - 0.2j, 1.3 + 0.9j
-    zz, ww = both(z, w)
+    zz, ww = phi.inverse()(*phi(z, w))
     assert zz == z
     assert ww == pytest.approx(w, rel=1e-12)
-
-
-def test_linear_pushforward_rejects_singular():
-    field = instantiate_family(ScalingField(2, 3))
-    with pytest.raises(DomainError):
-        linear_pushforward(((1.0, 2.0), (2.0, 4.0)), field)
-
-
-def test_linear_pushforward_swap_exchanges_weights():
-    swapped = linear_pushforward(((0.0, 1.0), (1.0, 0.0)),
-                                 instantiate_family(ScalingField(2, 3)))
-    assert tables_allclose(swapped, instantiate_family(ScalingField(3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +447,3 @@ def test_first_integral_check_rejects_axis():
     with pytest.raises(DomainError):
         first_integral_check(ScalingField(2, 3), [(0.0, 1.0)], [0.1])
 
-
-small = st.floats(-1.5, 1.5)
-
-
-@given(small, small, small, small)
-@settings(max_examples=30, deadline=None)
-def test_fiber_automorphism_compose_associative(g1, d1, g2, d2):
-    a = FiberAutomorphism(Const(g1), Const(d1))
-    b = FiberAutomorphism(Const(g2), Const(d2))
-    z, w = 0.3, 0.7 - 0.4j
-    via_compose = a.compose(b)(z, w)
-    direct = a(*b(z, w))
-    assert via_compose[1] == pytest.approx(direct[1], rel=1e-12, abs=1e-12)

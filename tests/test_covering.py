@@ -94,12 +94,6 @@ def test_membership_on_and_off_curve():
     assert curve.membership(1.0, 2.0)
 
 
-def test_to_json_has_bezout_pair():
-    data = CuspCurve(2, 3, 1.0).to_json()
-    assert data["r"] == 2 and data["s"] == 3
-    assert 2 * data["p"] - 3 * data["q"] == 1
-
-
 coprime_pairs = st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(
     lambda rs: math.gcd(rs[0], rs[1]) == 1)
 

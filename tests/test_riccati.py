@@ -6,12 +6,11 @@ import math
 import pytest
 
 from holodom.errors import DegenerateFiberError, DomainError
-from holodom.gap import construct_gap
 from holodom.oracle import IntegrationSpec, integrate
 from holodom.poly import Poly, RationalFn
 from holodom.riccati import (DoubleSection, RiccatiField, Section, SpherePoint,
                              default_section, dominating_map_g,
-                             riccati_from_gap_pair, verify_section_avoids)
+                             verify_section_avoids)
 
 # D(z, w) = w^2 - z
 PARABOLA = DoubleSection.from_polys([1.0], [0.0], [0.0, -1.0])
@@ -80,7 +79,8 @@ def test_flow_matches_oracle_finite_chart():
     field = RiccatiField(PARABOLA)
     z, w0, t = 3.0, 0.5 + 0.5j, 0.4 + 0.2j
     out = field.flow(t, z, w0)
-    res = integrate(field.callback_w(), (z, w0), IntegrationSpec(path=(t,)))
+    res = integrate(lambda z, w: (0j, PARABOLA.eval(z, w)), (z, w0),
+                    IntegrationSpec(path=(t,)))
     assert abs(res.endpoint[1] - out.value) < 1e-7 * (1 + abs(out.value))
 
 
@@ -156,21 +156,3 @@ def test_dominating_map_g_rejects_touching_section():
     with pytest.raises(DomainError):
         dominating_map_g(field, graph, 4.0, 0.1)
 
-
-def test_riccati_from_gap_pair_roots_are_the_two_graphs():
-    cert = construct_gap(RationalFn(Poly([1.0]), Poly([0.0, 1.0])))  # h = 0
-    s_hat = RationalFn(Poly([10.0, 1.0]), Poly([-5.0, 1.0]))
-    field = riccati_from_gap_pair(cert, s_hat, seed=2)
-    z = 1.0 + 1.0j
-    vals = sorted((p.value for p in field.section.fiber_roots(z).points),
-                  key=abs)
-    assert abs(vals[0] - cert.h(z)) < 1e-9
-    assert abs(vals[1] - s_hat(z)) < 1e-9 * (1 + abs(vals[1]))
-
-
-def test_riccati_from_gap_pair_rejects_coincident_graphs():
-    # the precondition is sampled, so it catches graphs that essentially
-    # coincide; h = 0 here and s_hat is indistinguishable from it
-    cert = construct_gap(RationalFn(Poly([1.0]), Poly([0.0, 1.0])))
-    with pytest.raises(DomainError):
-        riccati_from_gap_pair(cert, RationalFn(Poly([1e-15]), Poly([1.0])))
